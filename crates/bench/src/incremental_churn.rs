@@ -25,7 +25,7 @@ use rvaas_workloads::{run_incremental_churn, IncrementalChurnConfig, Incremental
 /// True when the benchmarks should run in reduced "smoke" mode (CI).
 #[must_use]
 pub fn smoke_mode() -> bool {
-    std::env::var_os("RVAAS_BENCH_SMOKE").is_some()
+    crate::env_flag("RVAAS_BENCH_SMOKE")
 }
 
 /// One churn rate's A/B measurement.

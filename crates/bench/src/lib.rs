@@ -25,3 +25,27 @@ pub use incremental_churn::{
 };
 pub use query_scale::{exp_s3_query_scale, measure_query_scale, soak_mode, QueryScaleExperiment};
 pub use service_throughput::{exp_s1_service_throughput, measure, ServiceThroughputReport};
+
+/// Whether the boolean environment flag `name` is on. Unset, empty or `"0"`
+/// mean off, as for `RVAAS_FUZZ_SMOKE`.
+pub(crate) fn env_flag(name: &str) -> bool {
+    flag_on(std::env::var(name).ok().as_deref())
+}
+
+fn flag_on(value: Option<&str>) -> bool {
+    value.is_some_and(|v| !v.is_empty() && v != "0")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::flag_on;
+
+    #[test]
+    fn env_flags_are_off_when_unset_empty_or_zero() {
+        assert!(!flag_on(None));
+        assert!(!flag_on(Some("")));
+        assert!(!flag_on(Some("0")));
+        assert!(flag_on(Some("1")));
+        assert!(flag_on(Some("yes")));
+    }
+}

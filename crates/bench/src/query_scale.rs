@@ -30,7 +30,7 @@ use crate::incremental_churn::smoke_mode;
 /// (nightly CI).
 #[must_use]
 pub fn soak_mode() -> bool {
-    std::env::var_os("RVAAS_BENCH_SOAK").is_some()
+    crate::env_flag("RVAAS_BENCH_SOAK")
 }
 
 /// One population's measurement.

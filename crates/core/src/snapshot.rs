@@ -38,13 +38,17 @@ struct SwitchTable {
 }
 
 impl SwitchTable {
-    /// Adds `entry`, or replaces the entry with the same `(priority, match)`.
-    fn upsert(&mut self, entry: FlowEntry) {
+    /// Adds `entry`, or replaces the entry with the same `(priority, match)`
+    /// and returns the replaced one.
+    fn upsert(&mut self, entry: FlowEntry) -> Option<FlowEntry> {
         match self.index.entry((entry.priority, entry.flow_match.clone())) {
-            BTreeEntry::Occupied(slot) => self.entries[*slot.get()] = entry,
+            BTreeEntry::Occupied(slot) => {
+                Some(std::mem::replace(&mut self.entries[*slot.get()], entry))
+            }
             BTreeEntry::Vacant(slot) => {
                 slot.insert(self.entries.len());
                 self.entries.push(entry);
+                None
             }
         }
     }
@@ -119,10 +123,18 @@ impl NetworkSnapshot {
         self.removed.len()
     }
 
-    /// Records that `entry` is installed on `switch` (add or modify).
-    pub fn record_installed(&mut self, switch: SwitchId, entry: FlowEntry, at: SimTime) {
-        self.tables.entry(switch).or_default().upsert(entry);
+    /// Records that `entry` is installed on `switch` (add or modify). A
+    /// modify returns the entry it replaced: the one with the same
+    /// `(priority, match)`, which keeps its arrival position.
+    pub fn record_installed(
+        &mut self,
+        switch: SwitchId,
+        entry: FlowEntry,
+        at: SimTime,
+    ) -> Option<FlowEntry> {
+        let replaced = self.tables.entry(switch).or_default().upsert(entry);
         self.touch(at);
+        replaced
     }
 
     /// Records that `entry` was removed from `switch`.
@@ -275,10 +287,12 @@ mod tests {
     #[test]
     fn install_modify_remove_lifecycle() {
         let mut snap = NetworkSnapshot::new(SimTime::from_secs(1));
-        snap.record_installed(SwitchId(1), entry(5, 1), SimTime::from_millis(1));
+        let fresh = snap.record_installed(SwitchId(1), entry(5, 1), SimTime::from_millis(1));
+        assert_eq!(fresh, None);
         assert_eq!(snap.rule_count(), 1);
-        // Same match/priority replaces.
-        snap.record_installed(SwitchId(1), entry(5, 2), SimTime::from_millis(2));
+        // Same match/priority replaces, handing back the replaced entry.
+        let replaced = snap.record_installed(SwitchId(1), entry(5, 2), SimTime::from_millis(2));
+        assert_eq!(replaced, Some(entry(5, 1)));
         assert_eq!(snap.rule_count(), 1);
         assert_eq!(
             snap.table_of(SwitchId(1))[0].actions,

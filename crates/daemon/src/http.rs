@@ -321,7 +321,7 @@ fn epoch_body(service: &VerificationService, sync_server: &SyncServer) -> String
         "{{\"serial\":{},\"session\":{},\"rules\":{},\"digest\":\"{:016x}\"}}",
         epoch.serial,
         sync_server.session_id(),
-        epoch.rules.len(),
+        epoch.digests.len(),
         epoch.content_digest()
     )
 }

@@ -150,62 +150,105 @@ proptest! {
     /// plane's epoch deltas — digest diffing, arrival-order rule resolution
     /// and multi-epoch aggregation included — keeps it
     /// reachability-equivalent to a from-scratch rebuild of the final
-    /// snapshot.
+    /// snapshot. The ops install, remove, or flip an installed rule's
+    /// actions in place (a modify); one store publishes full snapshots and
+    /// a twin publishes the same ops as rule changes, and the two must hold
+    /// the same digest set after every op.
     #[test]
     fn incremental_model_tracks_epoch_deltas(
-        ops in proptest::collection::vec((0usize..6, 0usize..6, 1u32..5, any::<bool>()), 1..10),
+        ops in proptest::collection::vec((0usize..6, 0usize..6, 1u32..5, 0u8..3), 1..10),
     ) {
+        use rvaas::RuleChange;
+        use rvaas_openflow::Action;
         use rvaas_service::EpochStore;
+
+        const INSTALL: u8 = 1;
+        const FLIP: u8 = 2;
 
         let topo = generators::line(4, 2);
         let ips: Vec<u32> = topo.hosts().map(|h| h.ip).collect();
         let mut snapshot = benign_snapshot_of(&topo);
-        let store = EpochStore::new(64);
-        store.publish(snapshot.clone(), SimTime::from_millis(1));
+        let full = EpochStore::new(64);
+        let delta = EpochStore::new(64);
+        full.try_publish(snapshot.clone(), SimTime::from_millis(1)).unwrap();
+        delta.try_publish(snapshot.clone(), SimTime::from_millis(1)).unwrap();
 
-        let mut model = rvaas::IncrementalModel::new(topo.clone());
-        let mut model_serial = 0u64;
-        for (i, (src, dst, sw, install)) in ops.iter().enumerate() {
-            let entry = tenant_entry(ips[src % ips.len()], ips[dst % ips.len()]);
-            let switch = rvaas_types::SwitchId(*sw);
+        let mut models = [
+            (rvaas::IncrementalModel::new(topo.clone()), 0u64),
+            (rvaas::IncrementalModel::new(topo.clone()), 0u64),
+        ];
+        for (i, (src, dst, sw, op)) in ops.iter().enumerate() {
             let at = SimTime::from_millis(10 + i as u64);
-            let present = snapshot
-                .table_of(switch)
-                .iter()
-                .any(|e| e.priority == entry.priority && e.flow_match == entry.flow_match);
-            if *install && !present {
-                snapshot.record_installed(switch, entry, at);
-            } else if !*install && present {
-                snapshot.record_removed(switch, &entry, at);
+            let change = if *op == FLIP {
+                // Flip the actions of an installed tenant rule in place.
+                let tenants: Vec<_> = snapshot
+                    .tables()
+                    .flat_map(|(switch, table)| {
+                        table.iter().filter(|e| e.priority == 400).map(move |e| (switch, e))
+                    })
+                    .collect();
+                if tenants.is_empty() {
+                    continue;
+                }
+                let (switch, installed) = tenants[src % tenants.len()];
+                let mut flipped = installed.clone();
+                flipped.actions = if installed.actions == [Action::Drop] {
+                    vec![Action::Output(rvaas_types::PortId(1))]
+                } else {
+                    vec![Action::Drop]
+                };
+                RuleChange::installed(switch, flipped)
             } else {
-                continue;
+                let entry = tenant_entry(ips[src % ips.len()], ips[dst % ips.len()]);
+                let switch = rvaas_types::SwitchId(*sw);
+                let present = snapshot
+                    .table_of(switch)
+                    .iter()
+                    .find(|e| e.priority == entry.priority && e.flow_match == entry.flow_match)
+                    .cloned();
+                match (*op == INSTALL, present) {
+                    (true, None) => RuleChange::installed(switch, entry),
+                    (false, Some(installed)) => RuleChange::removed(switch, installed),
+                    _ => continue,
+                }
+            };
+            if change.installed {
+                snapshot.record_installed(change.switch, change.entry.clone(), at);
+            } else {
+                snapshot.record_removed(change.switch, &change.entry, at);
             }
-            store.publish(snapshot.clone(), at);
-            // Catch the model up every other step so some syncs aggregate
+            full.try_publish(snapshot.clone(), at).unwrap();
+            delta.try_publish_changes(std::slice::from_ref(&change), at).unwrap();
+            prop_assert_eq!(&delta.current().digests, &full.current().digests);
+            // Catch the models up every other step so some syncs aggregate
             // more than one epoch's delta.
             if i % 2 == 0 {
-                let current = store.current();
-                let delta = store
-                    .delta_between(model_serial, current.serial)
-                    .expect("retained window");
-                model.apply(&delta.rule_changes());
-                model_serial = current.serial;
+                for ((model, model_serial), store) in models.iter_mut().zip([&full, &delta]) {
+                    let current = store.current();
+                    let window = store
+                        .delta_between(*model_serial, current.serial)
+                        .expect("retained window");
+                    model.apply(&window.rule_changes());
+                    *model_serial = current.serial;
+                }
             }
         }
-        let current = store.current();
-        if model_serial != current.serial {
-            let delta = store
-                .delta_between(model_serial, current.serial)
-                .expect("retained window");
-            model.apply(&delta.rule_changes());
+        for ((model, model_serial), store) in models.iter_mut().zip([&full, &delta]) {
+            let current = store.current();
+            if *model_serial != current.serial {
+                let window = store
+                    .delta_between(*model_serial, current.serial)
+                    .expect("retained window");
+                model.apply(&window.rule_changes());
+            }
+            prop_assert!(
+                rvaas_hsa::reachability_equivalent(
+                    model.network_function(),
+                    &snapshot.to_network_function(&topo),
+                ),
+                "incremental model diverged from rebuild after {} ops", ops.len()
+            );
         }
-        prop_assert!(
-            rvaas_hsa::reachability_equivalent(
-                model.network_function(),
-                &snapshot.to_network_function(&topo),
-            ),
-            "incremental model diverged from rebuild after {} ops", ops.len()
-        );
     }
 
     /// Soundness of the affected-query computation: any standing query the

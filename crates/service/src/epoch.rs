@@ -2,6 +2,16 @@
 //! monitor's [`NetworkSnapshot`], swapped atomically so query workers never
 //! block the publisher (and vice versa).
 //!
+//! Each [`SnapshotEpoch`] stores its rule set once: the frozen snapshot,
+//! plus the digest set the sync protocol diffs. The two publish forms — a
+//! full snapshot ([`EpochStore::try_publish`]) or a rule-level change batch
+//! ([`EpochStore::try_publish_changes`]) — only prepare the next snapshot
+//! and its digest diff; one commit routine does the rest. A change batch is
+//! applied to a clone of the previous snapshot and its digest diff is read
+//! off what the snapshot actually did: an install that replaces the entry
+//! with the same `(priority, match)` — an OpenFlow MODIFY — removes the old
+//! entry's digest and adds the new one, exactly as a full publish sees it.
+//!
 //! The [`EpochStore`] retains a bounded history of per-epoch deltas. Each
 //! delta carries three views of the same change set:
 //!
@@ -67,9 +77,8 @@ pub fn digest_entry(switch: SwitchId, entry: &FlowEntry) -> FlowDigest {
 /// Digests of every entry in a snapshot.
 #[must_use]
 pub fn digest_snapshot(snapshot: &NetworkSnapshot) -> BTreeSet<FlowDigest> {
-    snapshot
-        .tables()
-        .flat_map(|(switch, entries)| entries.iter().map(move |e| digest_entry(switch, e)))
+    entries(snapshot)
+        .map(|(switch, e)| digest_entry(switch, e))
         .collect()
 }
 
@@ -83,9 +92,6 @@ pub struct SnapshotEpoch {
     pub snapshot: NetworkSnapshot,
     /// Digest of every installed entry, for delta computation.
     pub digests: BTreeSet<FlowDigest>,
-    /// Digest-indexed entries, so the next publish can resolve removed
-    /// digests back to concrete rules without re-hashing this snapshot.
-    pub rules: BTreeMap<FlowDigest, (SwitchId, FlowEntry)>,
     /// When the epoch was published (simulation time of the last update).
     pub published_at: SimTime,
 }
@@ -208,7 +214,7 @@ impl EpochDelta {
     }
 }
 
-/// What one [`EpochStore::publish`] produced: the new serial plus the
+/// What one [`EpochStore::try_publish`] produced: the new serial plus the
 /// affected header region of the change, for targeted invalidation.
 #[derive(Debug, Clone)]
 pub struct Published {
@@ -229,6 +235,29 @@ pub struct Published {
     /// Flight-recorder trace id of the publish event chain; downstream
     /// consumers (cache carry-forward, re-verification) append to it.
     pub trace: TraceId,
+}
+
+/// Every entry of `snapshot` as `(switch, entry)`, in per-switch arrival
+/// order.
+fn entries(snapshot: &NetworkSnapshot) -> impl Iterator<Item = (SwitchId, &FlowEntry)> {
+    snapshot
+        .tables()
+        .flat_map(|(switch, table)| table.iter().map(move |e| (switch, e)))
+}
+
+/// The next epoch as an entry point prepared it for [`EpochStore::commit`].
+struct Staged {
+    snapshot: NetworkSnapshot,
+    digests: BTreeSet<FlowDigest>,
+    added: Vec<FlowDigest>,
+    removed: Vec<FlowDigest>,
+    added_rules: Vec<(SwitchId, FlowEntry)>,
+    removed_rules: Vec<(SwitchId, FlowEntry)>,
+    /// The changes in the order they were applied, flaps included. The
+    /// changed region must cover within-batch flaps the net delta cancels,
+    /// exactly as `delta_between` keeps flapped regions across epochs.
+    /// `None` when the net delta is all that changed.
+    applied: Option<Vec<RuleChange>>,
 }
 
 /// The atomically swapped epoch store.
@@ -268,7 +297,6 @@ impl EpochStore {
                 serial: 0,
                 snapshot: NetworkSnapshot::default(),
                 digests: BTreeSet::new(),
-                rules: BTreeMap::new(),
                 published_at: SimTime::ZERO,
             })),
             deltas: Mutex::new(VecDeque::new()),
@@ -397,20 +425,9 @@ impl EpochStore {
     /// delta (digests, rules and affected header region) against the
     /// previous epoch. Returns the new serial and the affected region.
     ///
-    /// # Panics
-    ///
-    /// Panics if the publish is rejected (see [`EpochStore::try_publish`]);
-    /// the daemon path uses the fallible form.
-    pub fn publish(&self, snapshot: NetworkSnapshot, at: SimTime) -> Published {
-        self.try_publish(snapshot, at)
-            .expect("epoch publish rejected")
-    }
-
-    /// Fallible form of [`EpochStore::publish`].
-    ///
-    /// The write lock is held across the read–diff–swap so concurrent
-    /// publishers serialise: each epoch gets a unique serial and a delta
-    /// chained to its true predecessor.
+    /// The snapshot is hashed before the write lock is taken; removed
+    /// digests are resolved by re-hashing the previous snapshot, and only
+    /// when something was removed.
     ///
     /// # Errors
     ///
@@ -421,18 +438,138 @@ impl EpochStore {
         snapshot: NetworkSnapshot,
         at: SimTime,
     ) -> Result<Published, ServiceError> {
-        // One hash pass over the tables, in per-switch arrival order; the
-        // digest index and the (arrival-ordered) added-rule resolution are
-        // both derived from it without re-hashing.
-        let ordered: Vec<(FlowDigest, SwitchId, &FlowEntry)> = snapshot
-            .tables()
-            .flat_map(|(switch, entries)| {
-                entries
-                    .iter()
-                    .map(move |e| (digest_entry(switch, e), switch, e))
-            })
+        // Digests in per-switch arrival order, so added rules resolve in
+        // that order without re-hashing.
+        let ordered: Vec<FlowDigest> = entries(&snapshot)
+            .map(|(switch, e)| digest_entry(switch, e))
             .collect();
-        let digests: BTreeSet<FlowDigest> = ordered.iter().map(|(d, _, _)| *d).collect();
+        let digests: BTreeSet<FlowDigest> = ordered.iter().copied().collect();
+        self.commit(at, |previous| {
+            let added_rules = entries(&snapshot)
+                .zip(&ordered)
+                .filter(|(_, d)| !previous.digests.contains(d))
+                .map(|((switch, e), _)| (switch, e.clone()))
+                .collect();
+            let added = digests.difference(&previous.digests).copied().collect();
+            let removed: Vec<FlowDigest> = previous.digests.difference(&digests).copied().collect();
+            let removed_rules = if removed.is_empty() {
+                Vec::new()
+            } else {
+                entries(&previous.snapshot)
+                    .filter(|(switch, e)| !digests.contains(&digest_entry(*switch, e)))
+                    .map(|(switch, e)| (switch, e.clone()))
+                    .collect()
+            };
+            Staged {
+                snapshot,
+                digests,
+                added,
+                removed,
+                added_rules,
+                removed_rules,
+                applied: None,
+            }
+        })
+    }
+
+    /// Advances the epoch by a rule-level delta instead of a full snapshot:
+    /// the monitor hands [`ConfigMonitor::drain_changes`] output straight
+    /// here, and the store derives the next epoch from the previous one —
+    /// hashing only the delta entries instead of re-digesting every rule.
+    /// (The frozen snapshot itself is still a clone of its predecessor plus
+    /// the delta, so memory stays `O(rules)`; the per-publish *hashing* cost
+    /// drops from `O(rules)` to `O(delta)`.)
+    ///
+    /// Installs already present and removals of absent rules are skipped,
+    /// and an install that replaces a rule with the same `(priority, match)`
+    /// also removes the replaced rule, so the recorded delta always matches
+    /// the digest diff of the two epochs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServiceError::PublishRejected`] if the serial space is
+    /// exhausted.
+    ///
+    /// [`ConfigMonitor::drain_changes`]: rvaas::ConfigMonitor::drain_changes
+    pub fn try_publish_changes(
+        &self,
+        changes: &[RuleChange],
+        at: SimTime,
+    ) -> Result<Published, ServiceError> {
+        self.commit(at, |previous| {
+            let mut snapshot = previous.snapshot.clone();
+            let mut digests = previous.digests.clone();
+            let mut applied = Vec::new();
+            for change in changes {
+                let (switch, entry) = (change.switch, &change.entry);
+                let d = digest_entry(switch, entry);
+                if change.installed {
+                    if digests.contains(&d) {
+                        continue; // already installed — not a change
+                    }
+                    if let Some(old) = snapshot.record_installed(switch, entry.clone(), at) {
+                        digests.remove(&digest_entry(switch, &old));
+                        applied.push(RuleChange::removed(switch, old));
+                    }
+                    digests.insert(d);
+                } else {
+                    if !digests.remove(&d) {
+                        continue; // not installed — nothing to remove
+                    }
+                    snapshot.record_removed(switch, entry, at);
+                }
+                applied.push(change.clone());
+            }
+            // The net delta: each touched digest whose membership changed.
+            // Scanning backwards makes a rule's last install its arrival
+            // position; add/remove pairs inside the batch cancel out.
+            let (mut added, mut removed) = (Vec::new(), Vec::new());
+            let (mut added_rules, mut removed_rules) = (Vec::new(), Vec::new());
+            let mut seen = BTreeSet::new();
+            for change in applied.iter().rev() {
+                let d = digest_entry(change.switch, &change.entry);
+                if !seen.insert(d) {
+                    continue;
+                }
+                let rule = || (change.switch, change.entry.clone());
+                match (previous.digests.contains(&d), digests.contains(&d)) {
+                    (false, true) => {
+                        added.push(d);
+                        added_rules.push(rule());
+                    }
+                    (true, false) => {
+                        removed.push(d);
+                        removed_rules.push(rule());
+                    }
+                    _ => {}
+                }
+            }
+            added.sort_unstable();
+            removed.sort_unstable();
+            added_rules.reverse();
+            Staged {
+                snapshot,
+                digests,
+                added,
+                removed,
+                added_rules,
+                removed_rules,
+                applied: Some(applied),
+            }
+        })
+    }
+
+    /// The one publish body: serial check, shadow-model region, interest
+    /// advance, delta history, swap and provenance. `stage` prepares the
+    /// next epoch against the previous one under the write lock, which is
+    /// held across the read–diff–swap so concurrent publishers serialise:
+    /// each epoch gets a unique serial and a delta chained to its true
+    /// predecessor.
+    fn commit(
+        &self,
+        at: SimTime,
+        stage: impl FnOnce(&SnapshotEpoch) -> Staged,
+    ) -> Result<Published, ServiceError> {
         let mut current = self
             .current
             .write()
@@ -444,30 +581,32 @@ impl EpochStore {
                 previous.serial
             ))
         })?;
-        let added: Vec<FlowDigest> = digests.difference(&previous.digests).copied().collect();
-        let removed: Vec<FlowDigest> = previous.digests.difference(&digests).copied().collect();
-        let added_set: BTreeSet<FlowDigest> = added.iter().copied().collect();
-        // Resolve adds in arrival order (delta-sized clones) and removals
-        // from the previous epoch's index.
-        let added_rules: Vec<(SwitchId, FlowEntry)> = ordered
-            .iter()
-            .filter(|(d, _, _)| added_set.contains(d))
-            .map(|(_, switch, e)| (*switch, (*e).clone()))
-            .collect();
-        let removed_rules: Vec<(SwitchId, FlowEntry)> = removed
-            .iter()
-            .filter_map(|d| previous.rules.get(d).cloned())
-            .collect();
-        let rules: BTreeMap<FlowDigest, (SwitchId, FlowEntry)> = ordered
-            .into_iter()
-            .map(|(d, switch, e)| (d, (switch, e.clone())))
-            .collect();
-        let change_count = added_rules.len() + removed_rules.len();
+        let Staged {
+            snapshot,
+            digests,
+            added,
+            removed,
+            added_rules,
+            removed_rules,
+            applied,
+        } = stage(&previous);
+        let mut delta = EpochDelta {
+            from_serial: previous.serial,
+            to_serial: serial,
+            added,
+            removed,
+            added_rules,
+            removed_rules,
+            changed: ChangedRegion::default(),
+            affected: AffectedQueries::default(),
+        };
+        let delta_rules = delta.added_rules.len() + delta.removed_rules.len();
         // Past this size the per-rule exposed-region bookkeeping costs
         // more than it saves (the canonical case is the first, full
         // publish): bulk-rebuild the shadow and report an unbounded
         // region, which conservatively re-verifies everything once.
-        let bulk_rebuild = change_count > (rules.len() / 4).max(64);
+        let bulk_rebuild =
+            applied.as_ref().map_or(delta_rules, Vec::len) > (digests.len() / 4).max(64);
         let changed = {
             let mut shadow = self
                 .shadow
@@ -477,16 +616,7 @@ impl EpochStore {
                 shadow.rebuild_from(&snapshot);
                 ChangedRegion::everything()
             } else {
-                let changes: Vec<RuleChange> = removed_rules
-                    .iter()
-                    .map(|(s, e)| RuleChange::removed(*s, e.clone()))
-                    .chain(
-                        added_rules
-                            .iter()
-                            .map(|(s, e)| RuleChange::installed(*s, e.clone())),
-                    )
-                    .collect();
-                let region = shadow.apply(&changes);
+                let region = shadow.apply(&applied.unwrap_or_else(|| delta.rule_changes()));
                 if shadow.is_desynced() {
                     // This publish already reports a conservative region;
                     // resynchronise so future publishes are bounded again.
@@ -499,22 +629,15 @@ impl EpochStore {
         // epoch becomes visible: a footprint refined against this serial can
         // then never be invalidated by this publish.
         let affected = self.interest_lock().advance(serial, &changed);
-        let (added_count, removed_count) = (added.len(), removed.len());
+        let (added_count, removed_count) = (delta.added.len(), delta.removed.len());
+        delta.changed = changed.clone();
+        delta.affected = affected.clone();
         {
             let mut deltas = self
                 .deltas
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            deltas.push_back(EpochDelta {
-                from_serial: previous.serial,
-                to_serial: serial,
-                added,
-                removed,
-                added_rules,
-                removed_rules,
-                changed: changed.clone(),
-                affected: affected.clone(),
-            });
+            deltas.push_back(delta);
             while deltas.len() > self.max_deltas {
                 deltas.pop_front();
             }
@@ -523,45 +646,10 @@ impl EpochStore {
             serial,
             snapshot,
             digests,
-            rules,
             published_at: at,
         });
         let digest = epoch.content_digest();
         *current = epoch;
-        let trace = self.trace_publish(
-            serial,
-            digest,
-            added_count,
-            removed_count,
-            change_count,
-            bulk_rebuild,
-            at,
-            &affected,
-        );
-        Ok(Published {
-            serial,
-            changed,
-            delta_rules: change_count,
-            bulk_rebuild,
-            affected,
-            trace,
-        })
-    }
-
-    /// Emits the publish event chain into the flight recorder and appends
-    /// the provenance record. Shared by both publish paths.
-    #[allow(clippy::too_many_arguments)]
-    fn trace_publish(
-        &self,
-        serial: u64,
-        digest: u64,
-        added: usize,
-        removed: usize,
-        delta_rules: usize,
-        bulk_rebuild: bool,
-        at: SimTime,
-        affected: &AffectedQueries,
-    ) -> TraceId {
         let trace = TraceContext::mint();
         trace.event(TraceStage::EpochPublish, serial, delta_rules as u64);
         let affected_everything = affected.is_everything();
@@ -582,8 +670,8 @@ impl EpochStore {
         self.record_provenance(EpochProvenance {
             serial,
             digest,
-            added,
-            removed,
+            added: added_count,
+            removed: removed_count,
             delta_rules,
             affected_queries,
             affected_everything,
@@ -593,164 +681,13 @@ impl EpochStore {
             reverified: 0,
             reverify_sessions: 0,
         });
-        trace.id
-    }
-
-    /// Advances the epoch by a rule-level delta instead of a full snapshot:
-    /// the monitor hands [`ConfigMonitor::drain_changes`] output straight
-    /// here, and the store derives the next epoch from the previous one —
-    /// hashing only the delta entries instead of re-digesting every rule.
-    /// (The frozen snapshot itself is still a clone of its predecessor plus
-    /// the delta, so memory stays `O(rules)`; the per-publish *hashing* cost
-    /// drops from `O(rules)` to `O(delta)`.)
-    ///
-    /// Installs already present and removals of absent rules are skipped, so
-    /// the recorded delta always matches the digest diff of the two epochs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the publish is rejected (see
-    /// [`EpochStore::try_publish_changes`]).
-    ///
-    /// [`ConfigMonitor::drain_changes`]: rvaas::ConfigMonitor::drain_changes
-    pub fn publish_changes(&self, changes: &[RuleChange], at: SimTime) -> Published {
-        self.try_publish_changes(changes, at)
-            .expect("epoch delta publish rejected")
-    }
-
-    /// Fallible form of [`EpochStore::publish_changes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError::PublishRejected`] if the serial space is
-    /// exhausted.
-    pub fn try_publish_changes(
-        &self,
-        changes: &[RuleChange],
-        at: SimTime,
-    ) -> Result<Published, ServiceError> {
-        let mut current = self
-            .current
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let previous = Arc::clone(&current);
-        let serial = previous.serial.checked_add(1).ok_or_else(|| {
-            ServiceError::PublishRejected(format!(
-                "epoch serial space exhausted at {}",
-                previous.serial
-            ))
-        })?;
-        let mut snapshot = previous.snapshot.clone();
-        let mut digests = previous.digests.clone();
-        let mut rules = previous.rules.clone();
-        let mut added: Vec<FlowDigest> = Vec::new();
-        let mut added_rules: Vec<(SwitchId, FlowEntry)> = Vec::new();
-        let mut removed: Vec<FlowDigest> = Vec::new();
-        let mut removed_rules: Vec<(SwitchId, FlowEntry)> = Vec::new();
-        let mut effective: Vec<RuleChange> = Vec::new();
-        for change in changes {
-            let d = digest_entry(change.switch, &change.entry);
-            if change.installed {
-                if !digests.insert(d) {
-                    continue; // already installed — not a change
-                }
-                snapshot.record_installed(change.switch, change.entry.clone(), at);
-                rules.insert(d, (change.switch, change.entry.clone()));
-                // A re-add cancelling an earlier removal in this batch is a
-                // digest-level no-op, like cancellation across epochs.
-                if let Some(pos) = removed.iter().position(|r| *r == d) {
-                    removed.remove(pos);
-                    removed_rules.remove(pos);
-                } else {
-                    added.push(d);
-                    added_rules.push((change.switch, change.entry.clone()));
-                }
-                effective.push(change.clone());
-            } else {
-                if !digests.remove(&d) {
-                    continue; // not installed — nothing to remove
-                }
-                snapshot.record_removed(change.switch, &change.entry, at);
-                rules.remove(&d);
-                if let Some(pos) = added.iter().position(|a| *a == d) {
-                    added.remove(pos);
-                    added_rules.remove(pos);
-                } else {
-                    removed.push(d);
-                    removed_rules.push((change.switch, change.entry.clone()));
-                }
-                effective.push(change.clone());
-            }
-        }
-        let change_count = effective.len();
-        let bulk_rebuild = change_count > (rules.len() / 4).max(64);
-        let changed = {
-            let mut shadow = self
-                .shadow
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if bulk_rebuild {
-                shadow.rebuild_from(&snapshot);
-                ChangedRegion::everything()
-            } else {
-                // The effective changes include within-batch flaps on
-                // purpose: the region must cover them, exactly as
-                // `delta_between` keeps flapped regions across epochs.
-                let region = shadow.apply(&effective);
-                if shadow.is_desynced() {
-                    shadow.rebuild_from(&snapshot);
-                }
-                region
-            }
-        };
-        let affected = self.interest_lock().advance(serial, &changed);
-        let delta_rules = added_rules.len() + removed_rules.len();
-        let (added_count, removed_count) = (added.len(), removed.len());
-        {
-            let mut deltas = self
-                .deltas
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            deltas.push_back(EpochDelta {
-                from_serial: previous.serial,
-                to_serial: serial,
-                added,
-                removed,
-                added_rules,
-                removed_rules,
-                changed: changed.clone(),
-                affected: affected.clone(),
-            });
-            while deltas.len() > self.max_deltas {
-                deltas.pop_front();
-            }
-        }
-        let epoch = Arc::new(SnapshotEpoch {
-            serial,
-            snapshot,
-            digests,
-            rules,
-            published_at: at,
-        });
-        let digest = epoch.content_digest();
-        *current = epoch;
-        let trace = self.trace_publish(
-            serial,
-            digest,
-            added_count,
-            removed_count,
-            delta_rules,
-            bulk_rebuild,
-            at,
-            &affected,
-        );
         Ok(Published {
             serial,
             changed,
             delta_rules,
             bulk_rebuild,
             affected,
-            trace,
+            trace: trace.id,
         })
     }
 
@@ -875,10 +812,14 @@ mod tests {
     fn publish_advances_serial_and_records_delta() {
         let store = EpochStore::new(8);
         assert_eq!(store.current().serial, 0);
-        let p1 = store.publish(snapshot_with(&[1, 2]), SimTime::from_millis(1));
+        let p1 = store
+            .try_publish(snapshot_with(&[1, 2]), SimTime::from_millis(1))
+            .unwrap();
         assert_eq!(p1.serial, 1);
         assert!(!p1.changed.is_empty());
-        let p2 = store.publish(snapshot_with(&[2, 3]), SimTime::from_millis(2));
+        let p2 = store
+            .try_publish(snapshot_with(&[2, 3]), SimTime::from_millis(2))
+            .unwrap();
         assert_eq!(p2.serial, 2);
         assert_eq!(store.current().serial, 2);
 
@@ -907,9 +848,15 @@ mod tests {
     #[test]
     fn cancelling_changes_collapse_across_epochs() {
         let store = EpochStore::new(8);
-        store.publish(snapshot_with(&[1]), SimTime::from_millis(1));
-        store.publish(snapshot_with(&[1, 2]), SimTime::from_millis(2));
-        store.publish(snapshot_with(&[1]), SimTime::from_millis(3));
+        store
+            .try_publish(snapshot_with(&[1]), SimTime::from_millis(1))
+            .unwrap();
+        store
+            .try_publish(snapshot_with(&[1, 2]), SimTime::from_millis(2))
+            .unwrap();
+        store
+            .try_publish(snapshot_with(&[1]), SimTime::from_millis(3))
+            .unwrap();
         // dst 2 was added then removed: net delta from serial 1 is empty.
         let delta = store.delta_since(1).expect("retained");
         assert!(delta.added.is_empty());
@@ -925,7 +872,9 @@ mod tests {
         let store = EpochStore::new(8);
         for i in 1..=4u32 {
             let dsts: Vec<u32> = (1..=i).collect();
-            store.publish(snapshot_with(&dsts), SimTime::from_millis(u64::from(i)));
+            store
+                .try_publish(snapshot_with(&dsts), SimTime::from_millis(u64::from(i)))
+                .unwrap();
         }
         let delta = store.delta_between(1, 3).expect("retained window");
         assert_eq!(delta.from_serial, 1);
@@ -941,7 +890,9 @@ mod tests {
     fn evicted_history_forces_reset() {
         let store = EpochStore::new(2);
         for i in 0..5u32 {
-            store.publish(snapshot_with(&[i]), SimTime::from_millis(u64::from(i)));
+            store
+                .try_publish(snapshot_with(&[i]), SimTime::from_millis(u64::from(i)))
+                .unwrap();
         }
         // Only the last two deltas are retained: serial 1 is unanswerable.
         assert!(store.delta_since(1).is_none());
@@ -981,7 +932,9 @@ mod tests {
         }
         for i in 0..200u32 {
             let dsts: Vec<u32> = (0..=i % 7).collect();
-            store.publish(snapshot_with(&dsts), SimTime::from_millis(u64::from(i)));
+            store
+                .try_publish(snapshot_with(&dsts), SimTime::from_millis(u64::from(i)))
+                .unwrap();
         }
         stop.store(true, Ordering::Relaxed);
         for reader in readers {
@@ -994,55 +947,75 @@ mod tests {
     #[test]
     fn publish_changes_matches_full_publish() {
         // Drive one store by full snapshots and a twin by rule deltas; the
-        // epochs, digests and deltas must agree.
+        // epochs, digests and deltas must agree after every step, including
+        // an in-place modify (same priority and match, new actions).
+        let drop_2 = FlowEntry::new(10, FlowMatch::to_ip(2), vec![Action::Drop]);
+        let mut modified = snapshot_with(&[2, 3]);
+        modified.record_installed(SwitchId(1), drop_2.clone(), SimTime::from_millis(3));
+        let steps = [
+            (
+                snapshot_with(&[1, 2]),
+                vec![
+                    RuleChange::installed(SwitchId(1), entry(1)),
+                    RuleChange::installed(SwitchId(1), entry(2)),
+                ],
+            ),
+            (
+                snapshot_with(&[2, 3]),
+                vec![
+                    RuleChange::removed(SwitchId(1), entry(1)),
+                    RuleChange::installed(SwitchId(1), entry(3)),
+                ],
+            ),
+            (modified, vec![RuleChange::installed(SwitchId(1), drop_2)]),
+        ];
         let full = EpochStore::new(8);
         let delta = EpochStore::new(8);
-        full.publish(snapshot_with(&[1, 2]), SimTime::from_millis(1));
-        delta.publish_changes(
-            &[
-                RuleChange::installed(SwitchId(1), entry(1)),
-                RuleChange::installed(SwitchId(1), entry(2)),
-            ],
-            SimTime::from_millis(1),
-        );
-        let p_full = full.publish(snapshot_with(&[2, 3]), SimTime::from_millis(2));
-        let p_delta = delta.publish_changes(
-            &[
-                RuleChange::removed(SwitchId(1), entry(1)),
-                RuleChange::installed(SwitchId(1), entry(3)),
-            ],
-            SimTime::from_millis(2),
-        );
-        assert_eq!(p_delta.serial, p_full.serial);
-        assert_eq!(p_delta.delta_rules, p_full.delta_rules);
-        assert_eq!(delta.current().digests, full.current().digests);
-        assert_eq!(
-            digest_snapshot(&delta.current().snapshot),
-            delta.current().digests
-        );
-        let d_full = full.delta_since(1).expect("retained");
-        let d_delta = delta.delta_since(1).expect("retained");
-        assert_eq!(d_delta.added, d_full.added);
-        assert_eq!(d_delta.removed, d_full.removed);
-        assert_eq!(d_delta.changed.switches, d_full.changed.switches);
+        for (step, (snapshot, changes)) in steps.into_iter().enumerate() {
+            let at = SimTime::from_millis(step as u64 + 1);
+            let p_full = full.try_publish(snapshot, at).unwrap();
+            let p_delta = delta.try_publish_changes(&changes, at).unwrap();
+            assert_eq!(p_delta.serial, p_full.serial);
+            assert_eq!(p_delta.delta_rules, p_full.delta_rules, "step {step}");
+            let current = delta.current();
+            assert_eq!(current.digests, full.current().digests, "step {step}");
+            assert_eq!(
+                digest_snapshot(&current.snapshot),
+                current.digests,
+                "step {step}"
+            );
+            let d_full = full.delta_since(p_full.serial - 1).expect("retained");
+            let d_delta = delta.delta_since(p_delta.serial - 1).expect("retained");
+            assert_eq!(d_delta.added, d_full.added, "step {step}");
+            assert_eq!(d_delta.removed, d_full.removed, "step {step}");
+            assert_eq!(d_delta.removed_rules, d_full.removed_rules, "step {step}");
+            assert_eq!(
+                d_delta.changed.switches, d_full.changed.switches,
+                "step {step}"
+            );
+        }
     }
 
     #[test]
     fn publish_changes_skips_noop_and_collapses_flaps() {
         let store = EpochStore::new(8);
-        store.publish_changes(
-            &[RuleChange::installed(SwitchId(1), entry(1))],
-            SimTime::from_millis(1),
-        );
-        let p = store.publish_changes(
-            &[
-                RuleChange::installed(SwitchId(1), entry(1)), // already there
-                RuleChange::removed(SwitchId(1), entry(9)),   // never there
-                RuleChange::installed(SwitchId(1), entry(2)), // flap up...
-                RuleChange::removed(SwitchId(1), entry(2)),   // ...and down
-            ],
-            SimTime::from_millis(2),
-        );
+        store
+            .try_publish_changes(
+                &[RuleChange::installed(SwitchId(1), entry(1))],
+                SimTime::from_millis(1),
+            )
+            .unwrap();
+        let p = store
+            .try_publish_changes(
+                &[
+                    RuleChange::installed(SwitchId(1), entry(1)), // already there
+                    RuleChange::removed(SwitchId(1), entry(9)),   // never there
+                    RuleChange::installed(SwitchId(1), entry(2)), // flap up...
+                    RuleChange::removed(SwitchId(1), entry(2)),   // ...and down
+                ],
+                SimTime::from_millis(2),
+            )
+            .unwrap();
         assert_eq!(p.delta_rules, 0, "digest-level no-op");
         let d = store.delta_since(1).expect("retained");
         assert!(d.added.is_empty() && d.removed.is_empty());
@@ -1070,7 +1043,9 @@ mod tests {
         // The first publish installs a dst-pinned, src-wild rule: it overlaps
         // both clients' emission interests, so both are selected (exactly —
         // one rule is far below the bulk-rebuild threshold).
-        let p1 = store.publish(snapshot_with(&[1]), SimTime::from_millis(1));
+        let p1 = store
+            .try_publish(snapshot_with(&[1]), SimTime::from_millis(1))
+            .unwrap();
         assert!(!p1.affected.is_everything());
         assert_eq!(p1.affected.len(), 2);
 
@@ -1083,10 +1058,12 @@ mod tests {
             FlowMatch::from_ip(c1_ip).field(rvaas_types::Field::IpDst, u64::from(c2_ip)),
             vec![Action::Output(PortId(1))],
         );
-        let p2 = store.publish_changes(
-            &[RuleChange::installed(SwitchId(2), tenant)],
-            SimTime::from_millis(2),
-        );
+        let p2 = store
+            .try_publish_changes(
+                &[RuleChange::installed(SwitchId(2), tenant)],
+                SimTime::from_millis(2),
+            )
+            .unwrap();
         assert!(!p2.affected.is_everything());
         assert!(p2
             .affected
@@ -1110,8 +1087,12 @@ mod tests {
     #[test]
     fn provenance_records_publishes_and_accumulates_reverification() {
         let store = EpochStore::new(8);
-        store.publish(snapshot_with(&[1, 2]), SimTime::from_millis(1));
-        let p2 = store.publish(snapshot_with(&[2, 3]), SimTime::from_millis(2));
+        store
+            .try_publish(snapshot_with(&[1, 2]), SimTime::from_millis(1))
+            .unwrap();
+        let p2 = store
+            .try_publish(snapshot_with(&[2, 3]), SimTime::from_millis(2))
+            .unwrap();
         assert!(!p2.trace.is_none(), "publishes mint a trace");
 
         let prov = store.provenance(2).expect("recent serial retained");
@@ -1152,23 +1133,28 @@ mod tests {
     fn content_digest_depends_on_content_not_publish_path() {
         let a = EpochStore::new(4);
         let b = EpochStore::new(4);
-        a.publish(snapshot_with(&[1, 2]), SimTime::from_millis(1));
-        b.publish_changes(
+        a.try_publish(snapshot_with(&[1, 2]), SimTime::from_millis(1))
+            .unwrap();
+        b.try_publish_changes(
             &[
                 RuleChange::installed(SwitchId(1), entry(1)),
                 RuleChange::installed(SwitchId(1), entry(2)),
             ],
             SimTime::from_millis(9),
-        );
+        )
+        .unwrap();
         assert_eq!(a.current().content_digest(), b.current().content_digest());
-        a.publish(snapshot_with(&[1, 2, 3]), SimTime::from_millis(2));
+        a.try_publish(snapshot_with(&[1, 2, 3]), SimTime::from_millis(2))
+            .unwrap();
         assert_ne!(a.current().content_digest(), b.current().content_digest());
     }
 
     #[test]
     fn publish_is_rejected_when_the_serial_space_is_exhausted() {
         let store = EpochStore::new(4);
-        store.publish(snapshot_with(&[1]), SimTime::from_millis(1));
+        store
+            .try_publish(snapshot_with(&[1]), SimTime::from_millis(1))
+            .unwrap();
         // Rewind the clock to the end of time: the next publish would need
         // serial u64::MAX + 1.
         {
@@ -1177,7 +1163,6 @@ mod tests {
                 serial: u64::MAX,
                 snapshot: current.snapshot.clone(),
                 digests: current.digests.clone(),
-                rules: current.rules.clone(),
                 published_at: current.published_at,
             });
         }

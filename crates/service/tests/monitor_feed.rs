@@ -3,14 +3,16 @@
 //! straight to [`VerificationService::try_publish_changes`], and the
 //! resulting epochs must be indistinguishable — digest for digest — from a
 //! twin service that re-digests the monitor's full snapshot on every
-//! publish. The `None` drain after a full-table poll reply must fall back
-//! to the full-snapshot path.
+//! publish, including after a modify that rewrites installed rules'
+//! actions in place. The `None` drain after a full-table poll reply must
+//! fall back to the full-snapshot path.
 //!
 //! [`drain_changes`]: rvaas::ConfigMonitor::drain_changes
 
 use rvaas::{ConfigMonitor, LocationMap, MonitorConfig, VerifierConfig};
 use rvaas_client::QuerySpec;
 use rvaas_controlplane::benign_rules;
+use rvaas_controlplane::routing::PRIO_TRANSIT;
 use rvaas_openflow::{Action, FlowEntry, FlowMatch, Message};
 use rvaas_service::{ServiceConfig, VerificationService};
 use rvaas_topology::generators;
@@ -111,6 +113,43 @@ fn monitor_drained_changes_reproduce_full_snapshot_publishes() {
         full_service.try_publish(monitor.snapshot(), at).unwrap();
         assert_epochs_agree(&delta_service, &full_service, &format!("churn {round}"));
     }
+
+    // --- a modify round: the controller rewrites the installed transit
+    // rules to drop, keeping priority and match; the monitor sees only the
+    // FlowMonitorNotify of the rewritten entries -------------------------
+    let at = SimTime::from_millis(40);
+    let spec = QuerySpec::ReachableDestinations;
+    let before = full_service.try_query(ClientId(1), spec.clone()).unwrap();
+    let mut rewrites = 0;
+    for (switch, entry) in &seed[3..] {
+        if entry.priority != PRIO_TRANSIT {
+            continue;
+        }
+        let mut dropped = entry.clone();
+        dropped.actions = vec![Action::Drop];
+        monitor.on_switch_message(
+            *switch,
+            &Message::FlowMonitorNotify {
+                switch: *switch,
+                entry: dropped,
+                added: false,
+                at,
+            },
+            at,
+        );
+        rewrites += 1;
+    }
+    let changes = monitor.drain_changes().expect("no resync in this window");
+    assert_eq!(changes.len(), rewrites);
+    assert!(rewrites > 0);
+    delta_service.try_publish_changes(&changes, at).unwrap();
+    full_service.try_publish(monitor.snapshot(), at).unwrap();
+    assert_epochs_agree(&delta_service, &full_service, "modify");
+    let after = full_service.try_query(ClientId(1), spec).unwrap();
+    assert_ne!(
+        before.result, after.result,
+        "the rewrite changed the verdict"
+    );
 
     // --- a full-table poll reply voids the delta: fall back to the
     // full-snapshot publish on both services ------------------------------
