@@ -6,7 +6,7 @@
 //! serving) slower. This experiment sweeps the synthetic standing-query
 //! population (10k/30k/100k in full mode, 200/1k in smoke mode, plus a 1M
 //! point under `RVAAS_BENCH_SOAK=1`) over the
-//! [`run_query_scale`](rvaas_workloads::run_query_scale) workload and
+//! [`run_query_scale`] workload and
 //! reports, per scale point:
 //!
 //! * the mean epoch-advance latency (flat across points is the win);

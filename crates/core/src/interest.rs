@@ -12,7 +12,7 @@
 //!
 //! # How the index is keyed
 //!
-//! Every interest space is a union of [`Cube`]s. The verifier pins the fields
+//! Every interest space is a union of [`Cube`](rvaas_hsa::Cube)s. The verifier pins the fields
 //! that identify a tenant — the source address for emission spaces, the
 //! destination address for inbound spaces, both for path-length interests —
 //! so each cube is bucketed under `(src, dst)` where each component is
@@ -333,13 +333,6 @@ impl InterestIndex {
         let telemetry = InterestTelemetry::new(registry);
         telemetry.registered.set(self.interests.len() as i64);
         self.telemetry = Some(telemetry);
-    }
-
-    /// Replaces the deployment knowledge the default interests are derived
-    /// from. Existing registrations keep their interests (they were sound
-    /// when registered); callers attach the topology before registering.
-    pub fn set_topology(&mut self, topology: Topology) {
-        self.topology = topology;
     }
 
     /// The trusted topology the index derives default interests from.

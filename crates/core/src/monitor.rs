@@ -228,7 +228,7 @@ impl ConfigMonitor {
     }
 
     /// Takes the rule-level deltas applied since the last drain, in arrival
-    /// order — the hand-off to the service plane's `publish_changes` path,
+    /// order — the hand-off to the service plane's `try_publish_changes` path,
     /// which advances the epoch store without re-digesting the whole
     /// snapshot.
     ///

@@ -19,6 +19,7 @@
 //! workers drain and exit on the closed channel, and [`Daemon::shutdown`]
 //! joins everything before returning.
 
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -29,7 +30,7 @@ use rvaas::{LocationMap, NetworkSnapshot, VerifierConfig};
 use rvaas_client::{read_frame, write_frame, SyncReject};
 use rvaas_controlplane::benign_rules;
 use rvaas_service::{ServiceError, SyncServer, VerificationService};
-use rvaas_telemetry::{Counter, Gauge, Registry};
+use rvaas_telemetry::{Counter, Gauge};
 use rvaas_types::SimTime;
 
 use crate::config::DaemonConfig;
@@ -70,7 +71,14 @@ impl Daemon {
     /// unbindable listen address, and propagates publish failures.
     pub fn start(config: &DaemonConfig) -> Result<Self, ServiceError> {
         let topology = config.build_topology()?;
-        let registry = Registry::shared();
+        let service = Arc::new(VerificationService::new(
+            topology.clone(),
+            config.service.clone().into_config(VerifierConfig {
+                use_history: false,
+                locations: LocationMap::disclosed(&topology),
+            }),
+        ));
+        let registry = service.registry();
         registry
             .gauge_with(
                 "rvaas_build_info",
@@ -78,14 +86,6 @@ impl Daemon {
                 &[("version", env!("CARGO_PKG_VERSION"))],
             )
             .set(1);
-        let service = Arc::new(VerificationService::with_registry(
-            topology.clone(),
-            config.service.clone().into_config(VerifierConfig {
-                use_history: false,
-                locations: LocationMap::disclosed(&topology),
-            }),
-            Arc::clone(&registry),
-        ));
         // Epoch 1: the configured rules file when one is given, the benign
         // shortest-path routing state otherwise (the daemon's stand-in for a
         // controller feed; `publish` on the service keeps advancing it).
@@ -107,11 +107,7 @@ impl Daemon {
         // Distinct per process start, so reconnecting clients detect a
         // restart and fall back to a reset (session 0 means "none").
         let session_id = (std::process::id() % u32::from(u16::MAX - 1) + 1) as u16;
-        let sync_server = Arc::new(SyncServer::with_registry(
-            service.store(),
-            session_id,
-            &registry,
-        ));
+        let sync_server = Arc::new(SyncServer::new(service.store(), session_id, &registry));
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let mut daemon = Daemon {
@@ -317,15 +313,19 @@ fn serve_sync_connection(context: &ConnectionContext, stream: TcpStream) {
 /// One HTTP connection: requests served in a keep-alive loop until the
 /// client asks to close, goes idle, sends garbage or the daemon shuts down.
 fn serve_http_connection(context: &ConnectionContext, stream: TcpStream) {
-    let mut stream = stream;
     if stream.set_nonblocking(false).is_err()
         || stream.set_read_timeout(Some(HTTP_READ_TIMEOUT)).is_err()
     {
         return;
     }
+    // One reader for the connection's life: bytes of a pipelined request
+    // that arrived with the previous one stay buffered here. Responses go
+    // straight to the socket.
+    let mut reader = BufReader::new(&stream);
+    let mut writer = &stream;
     context.active.inc();
     loop {
-        match http::read_request(&mut stream) {
+        match http::read_request(&mut reader) {
             Ok(None) => break, // idle or clean close between requests
             Ok(Some(request)) => {
                 // Counted at parse time, before dispatch: a scrape of
@@ -338,12 +338,12 @@ fn serve_http_connection(context: &ConnectionContext, stream: TcpStream) {
                     context.started.elapsed().as_secs(),
                 );
                 let keep_alive = !request.close && !context.shutdown.load(Ordering::SeqCst);
-                if response.write_to(&mut stream, keep_alive).is_err() || !keep_alive {
+                if response.write_to(&mut writer, keep_alive).is_err() || !keep_alive {
                     break;
                 }
             }
             Err(why) => {
-                let _ = http::HttpResponse::error(400, &why).write_to(&mut stream, false);
+                let _ = http::HttpResponse::error(400, &why).write_to(&mut writer, false);
                 break;
             }
         }

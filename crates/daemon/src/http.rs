@@ -2,8 +2,8 @@
 //!
 //! The build environment vendors no HTTP crate, so this module implements
 //! just enough of RFC 9112 to serve the daemon's API: request-line +
-//! headers + `Content-Length` body, persistent connections with
-//! HTTP/1.0-vs-1.1 `Connection` header semantics, and a segment router.
+//! headers + `Content-Length` body, persistent (and pipelined) connections
+//! with HTTP/1.0-vs-1.1 `Connection` header semantics, and a segment router.
 //! No chunked encoding, no TLS. Routes:
 //!
 //! * `POST /v1/query` — run one verification query (trace minted at
@@ -16,7 +16,7 @@
 //! * `GET /v1/trace/slow` — the retained slow/error captures.
 //! * `GET /metrics` — Prometheus text exposition.
 
-use std::io::{self, ErrorKind, Read, Write};
+use std::io::{self, BufRead, ErrorKind, Read, Write};
 
 use rvaas_service::{ServiceError, SyncServer, VerificationService};
 use rvaas_telemetry::{trace::recorder, CaptureReason, TraceContext, TraceStage};
@@ -112,7 +112,10 @@ impl HttpResponse {
     }
 }
 
-/// Reads and parses one HTTP request off `r`.
+/// Reads and parses exactly one HTTP request off `r`, consuming nothing
+/// past its body: a pipelined request that arrived in the same segment
+/// stays buffered in `r` for the next call. A connection keeps one reader
+/// for its whole life.
 ///
 /// Returns `Ok(None)` when the connection went idle-quiet: a clean EOF or
 /// a read timeout before any request byte arrived — the keep-alive loop
@@ -122,30 +125,24 @@ impl HttpResponse {
 ///
 /// Returns a human-readable message for malformed, oversized or truncated
 /// requests (the caller answers 400 and closes).
-pub fn read_request<R: Read>(r: &mut R) -> Result<Option<HttpRequest>, String> {
-    // Read until the blank line terminating the header block.
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 1024];
-    let head_end = loop {
-        if let Some(at) = find_head_end(&buf) {
-            break at;
-        }
+pub fn read_request<R: BufRead>(r: &mut R) -> Result<Option<HttpRequest>, String> {
+    // Read line by line up to the blank line terminating the header block;
+    // the `take` bound caps a head that never ends.
+    let mut buf: Vec<u8> = Vec::with_capacity(256);
+    while !buf.ends_with(b"\r\n\r\n") {
         if buf.len() > MAX_REQUEST_LEN {
             return Err("request head too large".to_string());
         }
-        let n = match r.read(&mut chunk) {
-            Ok(n) => n,
+        let budget = (MAX_REQUEST_LEN + 1 - buf.len()) as u64;
+        match r.by_ref().take(budget).read_until(b'\n', &mut buf) {
+            Ok(0) if buf.is_empty() => return Ok(None),
+            Ok(0) => return Err("connection closed mid-request".to_string()),
+            Ok(_) => {}
             Err(e) if idle_timeout(&e) && buf.is_empty() => return Ok(None),
             Err(e) => return Err(format!("read failed: {e}")),
-        };
-        if n == 0 {
-            if buf.is_empty() {
-                return Ok(None);
-            }
-            return Err("connection closed mid-request".to_string());
         }
-        buf.extend_from_slice(&chunk[..n]);
-    };
+    }
+    let head_end = buf.len() - 4;
     let head = std::str::from_utf8(&buf[..head_end]).map_err(|_| "non-UTF-8 head".to_string())?;
     let mut lines = head.split("\r\n");
     let request_line = lines.next().unwrap_or("");
@@ -180,17 +177,11 @@ pub fn read_request<R: Read>(r: &mut R) -> Result<Option<HttpRequest>, String> {
     if content_length > MAX_REQUEST_LEN {
         return Err("request body too large".to_string());
     }
-    let mut body = buf[head_end + 4..].to_vec();
-    while body.len() < content_length {
-        let n = r
-            .read(&mut chunk)
-            .map_err(|e| format!("read failed: {e}"))?;
-        if n == 0 {
-            return Err("connection closed mid-body".to_string());
-        }
-        body.extend_from_slice(&chunk[..n]);
-    }
-    body.truncate(content_length);
+    let mut body = vec![0; content_length];
+    r.read_exact(&mut body).map_err(|e| match e.kind() {
+        ErrorKind::UnexpectedEof => "connection closed mid-body".to_string(),
+        _ => format!("read failed: {e}"),
+    })?;
     Ok(Some(HttpRequest {
         method: method.to_string(),
         target: target.to_string(),
@@ -201,10 +192,6 @@ pub fn read_request<R: Read>(r: &mut R) -> Result<Option<HttpRequest>, String> {
 
 fn idle_timeout(e: &io::Error) -> bool {
     matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
-}
-
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
 /// Splits a request target into its non-empty path segments, dropping any
@@ -283,7 +270,7 @@ fn handle_query(service: &VerificationService, body: &str) -> Result<String, Ser
         body.len() as u64,
     );
     let trace_id = trace.id;
-    match service.try_query_traced(client, spec, trace) {
+    match service.try_query(client, spec, trace) {
         Ok(response) => Ok(json::render_response(&response)),
         Err(err) => {
             let rec = recorder();
@@ -412,6 +399,12 @@ mod tests {
                 "{raw:?}"
             );
         }
+        // A head that never ends is cut off at the request-size bound.
+        let endless = [&b"GET /x HTTP/1.1\r\nX: "[..], &[b'a'; 2 * MAX_REQUEST_LEN]].concat();
+        assert_eq!(
+            read_request(&mut Cursor::new(endless)),
+            Err("request head too large".to_string())
+        );
     }
 
     #[test]

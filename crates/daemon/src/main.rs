@@ -5,6 +5,7 @@ use std::time::{Duration, Instant};
 
 use rvaas_daemon::{json, Daemon, DaemonConfig, MAN_PAGE};
 use rvaas_service::ServiceError;
+use rvaas_telemetry::TraceContext;
 use rvaas_types::ClientId;
 
 const USAGE: &str = "usage: rvaas <serve|verify|trace|man> [options]
@@ -215,7 +216,9 @@ fn cmd_verify(args: &[String]) -> Result<(), CliError> {
         ],
     };
     for spec in specs {
-        let response = daemon.service().try_query(options.client, spec)?;
+        let response = daemon
+            .service()
+            .try_query(options.client, spec, TraceContext::mint())?;
         println!("{}", json::render_response(&response));
     }
     daemon.shutdown();
@@ -248,7 +251,9 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
     };
     let recorder = rvaas_telemetry::trace::recorder();
     for spec in specs {
-        let response = daemon.service().try_query(options.client, spec)?;
+        let response = daemon
+            .service()
+            .try_query(options.client, spec, TraceContext::mint())?;
         let chain = recorder.chain(response.trace);
         println!("{}", json::render_trace(response.trace.0, &chain));
     }

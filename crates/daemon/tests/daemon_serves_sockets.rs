@@ -152,7 +152,8 @@ fn daemon_serves_http_and_concurrent_sync_sessions_over_an_epoch_publish() {
     );
     let serial = daemon
         .service()
-        .publish(&snapshot, SimTime::from_millis(20));
+        .try_publish(&snapshot, SimTime::from_millis(20))
+        .unwrap();
     assert_eq!(serial, 2);
 
     for (conn, session, client) in [
@@ -340,6 +341,25 @@ fn http_connections_persist_across_requests() {
         let (status, body) = read_response(&mut stream);
         assert_eq!(status, 200);
         assert!(body.contains("\"serial\""), "{body}");
+    }
+    // Pipelining: two queries in one write are both answered, in order.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let query = |client: u32| {
+        let body = format!(r#"{{"client": {client}, "query": "isolation"}}"#);
+        format!(
+            "POST /v1/query HTTP/1.1\r\nHost: rvaas\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+    };
+    stream
+        .write_all(format!("{}{}", query(1), query(2)).as_bytes())
+        .unwrap();
+    for client in [1, 2] {
+        let (status, body) = read_response(&mut stream);
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains(&format!("\"client\":{client}")), "{body}");
     }
     // Asking to close is honoured: response arrives, then EOF.
     write!(

@@ -60,7 +60,9 @@ fn main() {
         }),
     );
     let mut snapshot = benign_snapshot(&topo);
-    let serial = service.publish(&snapshot, SimTime::from_millis(1));
+    let serial = service
+        .try_publish(&snapshot, SimTime::from_millis(1))
+        .expect("epoch publish");
     println!(
         "\nservice plane: published epoch {serial} ({} rules)",
         snapshot.rule_count()
@@ -74,8 +76,8 @@ fn main() {
         })
         .collect();
     // Same batch twice: the second pass is answered from the result cache.
-    let _ = service.query_all(&workload);
-    let responses = service.query_all(&workload);
+    let _ = service.try_query_all(&workload).expect("pool answers");
+    let responses = service.try_query_all(&workload).expect("pool answers");
     println!(
         "  {} queries answered at epoch {} (cache hit rate {:.0}%)",
         responses.len() * 2,
@@ -84,9 +86,11 @@ fn main() {
     );
 
     // Delta sync: a client mirrors the state, then churn arrives.
-    let server = SyncServer::new(service.store(), 7);
+    let server = SyncServer::new(service.store(), 7, &service.registry());
     let mut session = SyncSession::new();
-    let reset = server.handle(&service, &session.request(ClientId(1)));
+    let reset = server
+        .try_handle(&service, &session.request(ClientId(1)))
+        .expect("sync answers");
     session.apply(&reset).expect("reset applies");
     println!(
         "  sync: client reset to serial {} ({} digests, {} B)",
@@ -95,8 +99,12 @@ fn main() {
         reset.encoded_len()
     );
     churn_round(&mut snapshot, 1, 4, SimTime::from_millis(2));
-    service.publish(&snapshot, SimTime::from_millis(2));
-    let response = server.handle(&service, &session.request(ClientId(1)));
+    service
+        .try_publish(&snapshot, SimTime::from_millis(2))
+        .expect("epoch publish");
+    let response = server
+        .try_handle(&service, &session.request(ClientId(1)))
+        .expect("sync answers");
     let SyncPayload::Delta { added, removed, .. } = &response.payload else {
         panic!("expected a delta after churn");
     };

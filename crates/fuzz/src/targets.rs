@@ -116,7 +116,9 @@ pub fn sync_target(data: &[u8]) {
 /// Daemon HTTP request parser: arbitrary bytes as one connection's data.
 ///
 /// Properties: parse never panics; a parsed request re-rendered in
-/// canonical form re-parses to the same method, target and body.
+/// canonical form re-parses to the same method, target and body; and two
+/// pipelined copies of that rendering read back from one reader as two
+/// equal requests, leaving the reader idle-quiet.
 pub fn http_target(data: &[u8]) {
     let request = match http::read_request(&mut &data[..]) {
         Ok(Some(request)) => request,
@@ -135,6 +137,19 @@ pub fn http_target(data: &[u8]) {
         .expect("canonical re-render must re-parse")
         .expect("canonical re-render is not idle-quiet");
     assert_eq!(reparsed, request, "HTTP round-trip changed the request");
+    let pipelined = canonical.repeat(2);
+    let mut reader = pipelined.as_bytes();
+    for _ in 0..2 {
+        let next = http::read_request(&mut reader)
+            .expect("pipelined request must parse")
+            .expect("pipelined request is not idle-quiet");
+        assert_eq!(next, request, "pipelining changed a request");
+    }
+    assert_eq!(
+        http::read_request(&mut reader),
+        Ok(None),
+        "reading a request consumed bytes past its body"
+    );
 
     // The router's segment splitter must survive whatever target the
     // request smuggled in, and never invent path material.

@@ -21,7 +21,8 @@ use rvaas_controlplane::attack::PRIO_ATTACK;
 use rvaas_controlplane::{benign_rules, Attack, ServicePlaneExpectation};
 use rvaas_hsa::reachability_equivalent;
 use rvaas_openflow::{FlowEntry, FlowModCommand, Message};
-use rvaas_service::{EpochStore, ServiceConfig, SyncServer, VerificationService};
+use rvaas_service::{EpochStore, ServiceSettings, SyncServer, VerificationService};
+use rvaas_telemetry::{Registry, TraceContext};
 use rvaas_topology::{generators, Topology};
 use rvaas_types::{ClientId, HostId, SimTime, SwitchId};
 
@@ -72,13 +73,16 @@ fn benign_snapshot(topology: &Topology, at: SimTime) -> NetworkSnapshot {
 }
 
 fn service(topology: &Topology, incremental: bool) -> VerificationService {
-    let config = ServiceConfig::new(VerifierConfig {
+    let config = ServiceSettings {
+        workers: 2,
+        cache: incremental,
+        incremental,
+        ..ServiceSettings::default()
+    }
+    .into_config(VerifierConfig {
         use_history: false,
         locations: LocationMap::disclosed(topology),
-    })
-    .with_workers(2)
-    .with_cache(incremental)
-    .with_incremental(incremental);
+    });
     VerificationService::new(topology.clone(), config)
 }
 
@@ -128,8 +132,12 @@ fn assert_verdicts_match(
     context: &str,
 ) {
     for (client, spec) in queries {
-        let fast = incremental.query(*client, spec.clone());
-        let slow = oracle.query(*client, spec.clone());
+        let fast = incremental
+            .try_query(*client, spec.clone(), TraceContext::mint())
+            .unwrap();
+        let slow = oracle
+            .try_query(*client, spec.clone(), TraceContext::mint())
+            .unwrap();
         assert_eq!(
             fast.result, slow.result,
             "{context}: incremental and full-rebuild verdicts diverge \
@@ -153,8 +161,12 @@ fn verdicts_match_the_full_rebuild_oracle_under_every_service_plane_attack() {
         let incremental = service(&topology, true);
         let oracle = service(&topology, false);
         let mut snapshot = benign_snapshot(&topology, SimTime::from_millis(1));
-        incremental.publish(&snapshot, SimTime::from_millis(1));
-        oracle.publish(&snapshot, SimTime::from_millis(1));
+        incremental
+            .try_publish(&snapshot, SimTime::from_millis(1))
+            .unwrap();
+        oracle
+            .try_publish(&snapshot, SimTime::from_millis(1))
+            .unwrap();
         assert_verdicts_match(
             &incremental,
             &oracle,
@@ -167,8 +179,12 @@ fn verdicts_match_the_full_rebuild_oracle_under_every_service_plane_attack() {
             &attack.compile(&topology),
             SimTime::from_millis(10),
         );
-        incremental.publish(&snapshot, SimTime::from_millis(10));
-        oracle.publish(&snapshot, SimTime::from_millis(10));
+        incremental
+            .try_publish(&snapshot, SimTime::from_millis(10))
+            .unwrap();
+        oracle
+            .try_publish(&snapshot, SimTime::from_millis(10))
+            .unwrap();
         assert_verdicts_match(
             &incremental,
             &oracle,
@@ -181,8 +197,12 @@ fn verdicts_match_the_full_rebuild_oracle_under_every_service_plane_attack() {
             &attack.compile_removal(&topology),
             SimTime::from_millis(20),
         );
-        incremental.publish(&snapshot, SimTime::from_millis(20));
-        oracle.publish(&snapshot, SimTime::from_millis(20));
+        incremental
+            .try_publish(&snapshot, SimTime::from_millis(20))
+            .unwrap();
+        oracle
+            .try_publish(&snapshot, SimTime::from_millis(20))
+            .unwrap();
         assert_verdicts_match(
             &incremental,
             &oracle,
@@ -208,16 +228,20 @@ fn stale_epoch_replay_cannot_roll_back_a_sync_client() {
     );
 
     let verification = service(&topology, true);
-    let sync_server = SyncServer::new(verification.store(), 7);
+    let sync_server = SyncServer::new(verification.store(), 7, &verification.registry());
     let client = ClientId(1);
 
     let mut snapshot = benign_snapshot(&topology, SimTime::from_millis(1));
-    verification.publish(&snapshot, SimTime::from_millis(1));
+    verification
+        .try_publish(&snapshot, SimTime::from_millis(1))
+        .unwrap();
 
     // The victim client synchronises with the clean epoch; the adversary
     // records the very response it received.
     let mut session = SyncSession::new();
-    let recorded_clean = sync_server.handle(&verification, &session.request(client));
+    let recorded_clean = sync_server
+        .try_handle(&verification, &session.request(client))
+        .unwrap();
     session.apply(&recorded_clean).expect("initial reset");
     assert!(session.is_synchronised());
 
@@ -228,8 +252,12 @@ fn stale_epoch_replay_cannot_roll_back_a_sync_client() {
         &attack.compile(&topology),
         SimTime::from_millis(10),
     );
-    verification.publish(&snapshot, SimTime::from_millis(10));
-    let delta = sync_server.handle(&verification, &session.request(client));
+    verification
+        .try_publish(&snapshot, SimTime::from_millis(10))
+        .unwrap();
+    let delta = sync_server
+        .try_handle(&verification, &session.request(client))
+        .unwrap();
     session.apply(&delta).expect("delta to the attacked epoch");
     let truth_serial = session.serial();
 
@@ -259,10 +287,14 @@ fn stale_epoch_replay_cannot_roll_back_a_sync_client() {
 
     // ...but a single ordinary round trip reconverges the mirror onto the
     // server's real state, with the usual desync-reset fallback.
-    let catchup = sync_server.handle(&verification, &session.request(client));
+    let catchup = sync_server
+        .try_handle(&verification, &session.request(client))
+        .unwrap();
     if session.apply(&catchup).is_err() {
         session.desynchronise();
-        let reset = sync_server.handle(&verification, &session.request(client));
+        let reset = sync_server
+            .try_handle(&verification, &session.request(client))
+            .unwrap();
         session.apply(&reset).expect("recovery reset");
     }
     assert_eq!(session.serial(), verification.current_serial());
@@ -270,7 +302,9 @@ fn stale_epoch_replay_cannot_roll_back_a_sync_client() {
     // Converged means converged: a fresh observer syncing from scratch holds
     // exactly the same digest set.
     let mut fresh = SyncSession::new();
-    let full = sync_server.handle(&verification, &fresh.request(ClientId(1)));
+    let full = sync_server
+        .try_handle(&verification, &fresh.request(ClientId(1)))
+        .unwrap();
     fresh.apply(&full).expect("fresh reset");
     assert_eq!(session.digests(), fresh.digests());
 }
@@ -346,8 +380,12 @@ fn epoch_toggled_rule_cannot_poison_the_result_cache() {
     let spec = QuerySpec::ReachableDestinations;
 
     let mut snapshot = benign_snapshot(&topology, SimTime::from_millis(1));
-    cached.publish(&snapshot, SimTime::from_millis(1));
-    oracle.publish(&snapshot, SimTime::from_millis(1));
+    cached
+        .try_publish(&snapshot, SimTime::from_millis(1))
+        .unwrap();
+    oracle
+        .try_publish(&snapshot, SimTime::from_millis(1))
+        .unwrap();
 
     let mut verdicts = Vec::new();
     for epoch in 0..6u64 {
@@ -358,14 +396,20 @@ fn epoch_toggled_rule_cannot_poison_the_result_cache() {
             attack.compile_removal(&topology)
         };
         apply_messages(&mut snapshot, &messages, at);
-        cached.publish(&snapshot, at);
-        oracle.publish(&snapshot, at);
+        cached.try_publish(&snapshot, at).unwrap();
+        oracle.try_publish(&snapshot, at).unwrap();
 
         // Query twice so the second answer is eligible for the cache, then
         // compare both against the oracle.
-        let first = cached.query(client, spec.clone());
-        let second = cached.query(client, spec.clone());
-        let truth = oracle.query(client, spec.clone());
+        let first = cached
+            .try_query(client, spec.clone(), TraceContext::mint())
+            .unwrap();
+        let second = cached
+            .try_query(client, spec.clone(), TraceContext::mint())
+            .unwrap();
+        let truth = oracle
+            .try_query(client, spec.clone(), TraceContext::mint())
+            .unwrap();
         assert_eq!(first.result, truth.result, "epoch {epoch}: fresh answer");
         assert_eq!(second.result, truth.result, "epoch {epoch}: cached answer");
         assert_eq!(first.epoch_serial, truth.epoch_serial);
@@ -403,7 +447,7 @@ fn churn_flood_trips_the_bulk_rebuild_heuristic() {
         panic!("churn flood must carry the bulk-rebuild expectation");
     };
 
-    let store = EpochStore::new(8);
+    let store = EpochStore::new(8, Topology::new(), &Registry::new());
     let mut snapshot = benign_snapshot(&topology, SimTime::from_millis(1));
     store
         .try_publish(snapshot.clone(), SimTime::from_millis(1))
@@ -471,14 +515,14 @@ proptest! {
     fn sync_session_converges_after_any_interleaving(ops in proptest::collection::vec(0u8..6u8, 1..24)) {
         let topology = generators::line(3, 1);
         let verification = service(&topology, true);
-        let sync_server = SyncServer::new(verification.store(), 11);
+        let sync_server = SyncServer::new(verification.store(), 11, &verification.registry());
         let client = ClientId(1);
         let attack = Attack::StaleEpochReplay { victim_host: HostId(2) };
 
         let mut snapshot = benign_snapshot(&topology, SimTime::from_millis(1));
-        verification.publish(&snapshot, SimTime::from_millis(1));
+        verification.try_publish(&snapshot, SimTime::from_millis(1)).unwrap();
         let mut session = SyncSession::new();
-        let recorded = sync_server.handle(&verification, &session.request(client));
+        let recorded = sync_server.try_handle(&verification, &session.request(client)).unwrap();
         session.apply(&recorded).expect("initial reset");
 
         let mut attacked = false;
@@ -494,29 +538,29 @@ proptest! {
                         benign.compile_removal(&topology)
                     };
                     apply_messages(&mut snapshot, &messages, at);
-                    verification.publish(&snapshot, at);
+                    verification.try_publish(&snapshot, at).unwrap();
                 }
                 // Attack install / removal epochs.
                 1 => {
                     if !attacked {
                         apply_messages(&mut snapshot, &attack.compile(&topology), at);
-                        verification.publish(&snapshot, at);
+                        verification.try_publish(&snapshot, at).unwrap();
                         attacked = true;
                     }
                 }
                 2 => {
                     if attacked {
                         apply_messages(&mut snapshot, &attack.compile_removal(&topology), at);
-                        verification.publish(&snapshot, at);
+                        verification.try_publish(&snapshot, at).unwrap();
                         attacked = false;
                     }
                 }
                 // An ordinary sync round trip, with the reset fallback.
                 3 => {
-                    let response = sync_server.handle(&verification, &session.request(client));
+                    let response = sync_server.try_handle(&verification, &session.request(client)).unwrap();
                     if session.apply(&response).is_err() {
                         session.desynchronise();
-                        let reset = sync_server.handle(&verification, &session.request(client));
+                        let reset = sync_server.try_handle(&verification, &session.request(client)).unwrap();
                         session.apply(&reset).expect("recovery reset");
                     }
                 }
@@ -534,15 +578,15 @@ proptest! {
         }
 
         // One ordinary exchange must now converge the mirror exactly.
-        let response = sync_server.handle(&verification, &session.request(client));
+        let response = sync_server.try_handle(&verification, &session.request(client)).unwrap();
         if session.apply(&response).is_err() {
             session.desynchronise();
-            let reset = sync_server.handle(&verification, &session.request(client));
+            let reset = sync_server.try_handle(&verification, &session.request(client)).unwrap();
             session.apply(&reset).expect("final recovery reset");
         }
         prop_assert_eq!(session.serial(), verification.current_serial());
         let mut fresh = SyncSession::new();
-        let full = sync_server.handle(&verification, &fresh.request(client));
+        let full = sync_server.try_handle(&verification, &fresh.request(client)).unwrap();
         fresh.apply(&full).expect("fresh observer reset");
         prop_assert_eq!(session.digests(), fresh.digests());
     }

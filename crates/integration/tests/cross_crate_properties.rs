@@ -161,6 +161,7 @@ proptest! {
         use rvaas::RuleChange;
         use rvaas_openflow::Action;
         use rvaas_service::EpochStore;
+        use rvaas_telemetry::Registry;
 
         const INSTALL: u8 = 1;
         const FLIP: u8 = 2;
@@ -168,8 +169,8 @@ proptest! {
         let topo = generators::line(4, 2);
         let ips: Vec<u32> = topo.hosts().map(|h| h.ip).collect();
         let mut snapshot = benign_snapshot_of(&topo);
-        let full = EpochStore::new(64);
-        let delta = EpochStore::new(64);
+        let full = EpochStore::new(64, rvaas_topology::Topology::new(), &Registry::new());
+        let delta = EpochStore::new(64, rvaas_topology::Topology::new(), &Registry::new());
         full.try_publish(snapshot.clone(), SimTime::from_millis(1)).unwrap();
         delta.try_publish(snapshot.clone(), SimTime::from_millis(1)).unwrap();
 

@@ -8,9 +8,11 @@
 
 use rvaas::{AnalysisBackend, NetworkSnapshot};
 use rvaas_client::{QueryResult, QuerySpec};
+use rvaas_telemetry::TraceContext;
 use rvaas_types::{ClientId, SimTime};
 
 use crate::config::ServiceConfig;
+use crate::error::ServiceError;
 use crate::pool::VerificationService;
 use crate::sync::SyncServer;
 
@@ -60,16 +62,17 @@ impl ServiceBackend {
         &self.service
     }
 
-    /// A sync server sharing this backend's epoch store.
+    /// A sync server sharing this backend's epoch store and metric registry.
     #[must_use]
     pub fn sync_server(&self, session_id: u16) -> SyncServer {
-        SyncServer::new(self.service.store(), session_id)
+        SyncServer::new(self.service.store(), session_id, &self.service.registry())
     }
 
-    fn publish_now(&mut self, snapshot: &NetworkSnapshot, at: SimTime) {
-        self.service.publish(snapshot, at);
+    fn publish_now(&mut self, snapshot: &NetworkSnapshot, at: SimTime) -> Result<(), ServiceError> {
+        self.service.try_publish(snapshot, at)?;
         self.last_published_at = Some(at);
         self.dirty = false;
+        Ok(())
     }
 }
 
@@ -79,9 +82,9 @@ impl AnalysisBackend for ServiceBackend {
             None => true,
             Some(last) => at >= last + self.min_publish_interval,
         };
-        if due {
-            self.publish_now(snapshot, at);
-        } else {
+        // A rejected publish stays dirty: the next answer retries it and
+        // reports the failure.
+        if !due || self.publish_now(snapshot, at).is_err() {
             self.dirty = true;
         }
     }
@@ -95,17 +98,30 @@ impl AnalysisBackend for ServiceBackend {
         // Catch up before answering: a query may arrive before the first
         // monitor event, or after publishes the debounce suppressed.
         let epoch = self.service.store().current();
-        if epoch.serial == 0 || self.dirty || epoch.snapshot.last_update() < snapshot.last_update()
+        let caught_up = if epoch.serial == 0
+            || self.dirty
+            || epoch.snapshot.last_update() < snapshot.last_update()
         {
-            self.publish_now(snapshot, snapshot.last_update());
-        }
-        self.service.query(client, spec.clone()).result
+            self.publish_now(snapshot, snapshot.last_update())
+        } else {
+            Ok(())
+        };
+        // `AnalysisBackend::answer` has no error channel: a service that
+        // cannot publish or answer is a broken deployment, not a verdict.
+        caught_up
+            .and_then(|()| {
+                self.service
+                    .try_query(client, spec.clone(), TraceContext::mint())
+            })
+            .expect("service backend cannot answer")
+            .result
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ServiceSettings;
     use rvaas::{InlineBackend, LocationMap, LogicalVerifier, VerifierConfig};
     use rvaas_controlplane::benign_rules;
     use rvaas_topology::generators;
@@ -127,7 +143,11 @@ mod tests {
         ));
         let mut service = ServiceBackend::new(
             topology.clone(),
-            ServiceConfig::new(verifier_config).with_workers(3),
+            ServiceSettings {
+                workers: 3,
+                ..ServiceSettings::default()
+            }
+            .into_config(verifier_config),
         );
         for client in [ClientId(1), ClientId(2)] {
             for spec in [
@@ -157,7 +177,11 @@ mod tests {
         };
         let mut backend = ServiceBackend::new(
             topology.clone(),
-            ServiceConfig::new(verifier_config.clone()).with_workers(1),
+            ServiceSettings {
+                workers: 1,
+                ..ServiceSettings::default()
+            }
+            .into_config(verifier_config.clone()),
         )
         .with_publish_interval(SimTime::from_millis(10));
         // A burst of monitor events within one debounce window publishes

@@ -91,18 +91,12 @@ pub struct ResultCache {
 }
 
 impl ResultCache {
-    /// An empty cache counting into its own private registry; `enabled =
-    /// false` turns every lookup into a miss (used by benchmarks isolating
-    /// raw verification throughput).
+    /// An empty cache whose counters live in `registry` (under
+    /// `rvaas_cache_hits_total` / `_misses_` / `_carried_` / `_invalidated_`);
+    /// `enabled = false` turns every lookup into a miss (used by benchmarks
+    /// isolating raw verification throughput).
     #[must_use]
-    pub fn new(enabled: bool) -> Self {
-        ResultCache::with_registry(enabled, &Registry::new())
-    }
-
-    /// An empty cache whose counters live in the shared `registry` (under
-    /// `rvaas_cache_hits_total` / `_misses_` / `_carried_` / `_invalidated_`).
-    #[must_use]
-    pub fn with_registry(enabled: bool, registry: &Registry) -> Self {
+    pub fn new(enabled: bool, registry: &Registry) -> Self {
         ResultCache {
             state: Mutex::new(CacheState::default()),
             enabled,
@@ -255,7 +249,7 @@ mod tests {
 
     #[test]
     fn hit_after_put_at_same_serial() {
-        let cache = ResultCache::new(true);
+        let cache = ResultCache::new(true, &Registry::new());
         assert!(cache.get(1, ClientId(1), &QuerySpec::Isolation).is_none());
         cache.put(1, ClientId(1), QuerySpec::Isolation, result(3));
         assert_eq!(
@@ -269,7 +263,7 @@ mod tests {
 
     #[test]
     fn advance_invalidates_affected_and_carries_the_rest() {
-        let cache = ResultCache::new(true);
+        let cache = ResultCache::new(true, &Registry::new());
         cache.advance(1, |_, _| true);
         cache.put(1, ClientId(1), QuerySpec::Isolation, result(3));
         cache.put(1, ClientId(2), QuerySpec::GeoLocation, result(4));
@@ -295,7 +289,7 @@ mod tests {
 
     #[test]
     fn generation_wide_invalidation_with_always_affected() {
-        let cache = ResultCache::new(true);
+        let cache = ResultCache::new(true, &Registry::new());
         cache.advance(1, |_, _| true);
         cache.put(1, ClientId(1), QuerySpec::Isolation, result(3));
         cache.advance(2, |_, _| true);
@@ -309,7 +303,7 @@ mod tests {
 
     #[test]
     fn racing_put_at_new_serial_survives_advance() {
-        let cache = ResultCache::new(true);
+        let cache = ResultCache::new(true, &Registry::new());
         cache.advance(1, |_, _| true);
         // A worker that grabbed epoch 2 before the publisher advanced the
         // cache writes first...
@@ -324,7 +318,7 @@ mod tests {
 
     #[test]
     fn disabled_cache_never_hits() {
-        let cache = ResultCache::new(false);
+        let cache = ResultCache::new(false, &Registry::new());
         cache.put(1, ClientId(1), QuerySpec::Isolation, result(3));
         assert!(cache.get(1, ClientId(1), &QuerySpec::Isolation).is_none());
         assert!(cache.is_empty());

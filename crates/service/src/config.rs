@@ -16,9 +16,9 @@
 //! * [`ServiceConfig`] — settings plus the [`VerifierConfig`], which cannot
 //!   come from a file (it embeds the topology-derived location map).
 //!
-//! The old builder methods survive on [`ServiceConfig`] as thin
-//! deprecated-style wrappers so existing call sites keep compiling; new code
-//! should construct [`ServiceSettings`] directly.
+//! In code, build the settings with struct-update syntax
+//! (`ServiceSettings { workers: 2, ..Default::default() }`) and finish with
+//! [`ServiceSettings::into_config`].
 
 use serde::{Deserialize, Serialize};
 
@@ -36,7 +36,9 @@ pub struct ServiceSettings {
     /// Whether workers maintain their HSA model incrementally from epoch
     /// deltas (and the cache invalidates per affected query) instead of
     /// rebuilding from scratch on every epoch advance. History-mode
-    /// verification always uses the full-rebuild path regardless.
+    /// verification always uses the full-rebuild path regardless. Disabling
+    /// reproduces the full-rebuild architecture the benchmarks use as their
+    /// baseline.
     pub incremental: bool,
     /// How many per-epoch deltas the store retains for delta sync.
     pub max_delta_history: usize,
@@ -161,38 +163,11 @@ impl ServiceConfig {
     pub fn new(verifier: VerifierConfig) -> Self {
         ServiceSettings::default().into_config(verifier)
     }
-
-    /// Deprecated-style wrapper: prefer setting
-    /// [`ServiceSettings::workers`] and [`ServiceSettings::into_config`].
-    #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.settings.workers = workers.max(1);
-        self
-    }
-
-    /// Deprecated-style wrapper: prefer setting [`ServiceSettings::cache`]
-    /// and [`ServiceSettings::into_config`].
-    #[must_use]
-    pub fn with_cache(mut self, enabled: bool) -> Self {
-        self.settings.cache = enabled;
-        self
-    }
-
-    /// Deprecated-style wrapper: prefer setting
-    /// [`ServiceSettings::incremental`] and [`ServiceSettings::into_config`].
-    /// Disabling reproduces the full-rebuild architecture, which the
-    /// benchmarks use as their baseline.
-    #[must_use]
-    pub fn with_incremental(mut self, enabled: bool) -> Self {
-        self.settings.incremental = enabled;
-        self
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rvaas::LocationMap;
 
     #[test]
     fn defaults_match_the_documented_values() {
@@ -259,20 +234,5 @@ mod tests {
             err.to_string().contains("workers"),
             "unknown-key error must list the known keys: {err}"
         );
-    }
-
-    #[test]
-    fn builder_wrappers_forward_into_settings() {
-        let topology = rvaas_topology::generators::line(3, 1);
-        let config = ServiceConfig::new(VerifierConfig {
-            use_history: false,
-            locations: LocationMap::disclosed(&topology),
-        })
-        .with_workers(2)
-        .with_cache(false)
-        .with_incremental(false);
-        assert_eq!(config.settings.workers, 2);
-        assert!(!config.settings.cache);
-        assert!(!config.settings.incremental);
     }
 }

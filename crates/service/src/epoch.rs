@@ -47,7 +47,7 @@ use rvaas::{
 };
 use rvaas_client::{FlowDigest, QuerySpec};
 use rvaas_openflow::FlowEntry;
-use rvaas_telemetry::{TraceContext, TraceId, TraceStage};
+use rvaas_telemetry::{Registry, TraceContext, TraceId, TraceStage};
 use rvaas_topology::Topology;
 use rvaas_types::{ClientId, SimTime, SwitchId};
 
@@ -289,9 +289,17 @@ pub struct EpochStore {
 
 impl EpochStore {
     /// Creates a store holding an empty epoch 0 and retaining up to
-    /// `max_deltas` per-epoch deltas for sync.
+    /// `max_deltas` per-epoch deltas for sync. The interest-space index
+    /// derives default interests from the trusted `topology` (an empty
+    /// [`Topology`] makes every registration conservative: affected by any
+    /// change); the shadow model and the index record into `registry`
+    /// (under `rvaas_incremental_*` and `rvaas_interest_*`).
     #[must_use]
-    pub fn new(max_deltas: usize) -> Self {
+    pub fn new(max_deltas: usize, topology: Topology, registry: &Registry) -> Self {
+        let mut shadow = IncrementalModel::new(Topology::new());
+        shadow.attach_telemetry(registry);
+        let mut interest = InterestIndex::new(topology);
+        interest.attach_telemetry(registry);
         EpochStore {
             current: RwLock::new(Arc::new(SnapshotEpoch {
                 serial: 0,
@@ -300,8 +308,8 @@ impl EpochStore {
                 published_at: SimTime::ZERO,
             })),
             deltas: Mutex::new(VecDeque::new()),
-            shadow: Mutex::new(IncrementalModel::new(Topology::new())),
-            interest: Mutex::new(InterestIndex::new(Topology::new())),
+            shadow: Mutex::new(shadow),
+            interest: Mutex::new(interest),
             provenance: Mutex::new(VecDeque::new()),
             max_deltas,
         }
@@ -311,19 +319,6 @@ impl EpochStore {
         self.interest
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Supplies the trusted deployment knowledge the interest-space index
-    /// derives default interests from. Without it every registration is
-    /// conservative (affected by any change). Call before registering.
-    pub fn attach_interest_topology(&self, topology: Topology) {
-        self.interest_lock().set_topology(topology);
-    }
-
-    /// Mirrors the interest-space index's activity into `registry` (under
-    /// `rvaas_interest_*`).
-    pub fn attach_interest_telemetry(&self, registry: &rvaas_telemetry::Registry) {
-        self.interest_lock().attach_telemetry(registry);
     }
 
     /// Registers a standing query in the interest-space index (idempotent).
@@ -352,15 +347,6 @@ impl EpochStore {
     #[must_use]
     pub fn registered_interests(&self) -> usize {
         self.interest_lock().len()
-    }
-
-    /// Mirrors the shadow incremental model's activity into `registry`
-    /// (under `rvaas_incremental_*_total`).
-    pub fn attach_shadow_telemetry(&self, registry: &rvaas_telemetry::Registry) {
-        self.shadow
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .attach_telemetry(registry);
     }
 
     fn provenance_lock(&self) -> std::sync::MutexGuard<'_, VecDeque<EpochProvenance>> {
@@ -788,6 +774,11 @@ mod tests {
         FlowEntry::new(10, FlowMatch::to_ip(dst), vec![Action::Output(PortId(1))])
     }
 
+    /// A store with no deployment knowledge and a throwaway registry.
+    fn bare_store(max_deltas: usize) -> EpochStore {
+        EpochStore::new(max_deltas, Topology::new(), &Registry::new())
+    }
+
     fn snapshot_with(dsts: &[u32]) -> NetworkSnapshot {
         let mut snap = NetworkSnapshot::new(SimTime::from_secs(1));
         for dst in dsts {
@@ -810,7 +801,7 @@ mod tests {
 
     #[test]
     fn publish_advances_serial_and_records_delta() {
-        let store = EpochStore::new(8);
+        let store = bare_store(8);
         assert_eq!(store.current().serial, 0);
         let p1 = store
             .try_publish(snapshot_with(&[1, 2]), SimTime::from_millis(1))
@@ -847,7 +838,7 @@ mod tests {
 
     #[test]
     fn cancelling_changes_collapse_across_epochs() {
-        let store = EpochStore::new(8);
+        let store = bare_store(8);
         store
             .try_publish(snapshot_with(&[1]), SimTime::from_millis(1))
             .unwrap();
@@ -869,7 +860,7 @@ mod tests {
 
     #[test]
     fn delta_between_covers_inner_windows() {
-        let store = EpochStore::new(8);
+        let store = bare_store(8);
         for i in 1..=4u32 {
             let dsts: Vec<u32> = (1..=i).collect();
             store
@@ -888,7 +879,7 @@ mod tests {
 
     #[test]
     fn evicted_history_forces_reset() {
-        let store = EpochStore::new(2);
+        let store = bare_store(2);
         for i in 0..5u32 {
             store
                 .try_publish(snapshot_with(&[i]), SimTime::from_millis(u64::from(i)))
@@ -905,7 +896,7 @@ mod tests {
     fn epoch_swap_under_concurrent_readers() {
         use std::sync::atomic::{AtomicBool, Ordering};
 
-        let store = Arc::new(EpochStore::new(4));
+        let store = Arc::new(bare_store(4));
         let stop = Arc::new(AtomicBool::new(false));
         let mut readers = Vec::new();
         for _ in 0..4 {
@@ -969,8 +960,8 @@ mod tests {
             ),
             (modified, vec![RuleChange::installed(SwitchId(1), drop_2)]),
         ];
-        let full = EpochStore::new(8);
-        let delta = EpochStore::new(8);
+        let full = bare_store(8);
+        let delta = bare_store(8);
         for (step, (snapshot, changes)) in steps.into_iter().enumerate() {
             let at = SimTime::from_millis(step as u64 + 1);
             let p_full = full.try_publish(snapshot, at).unwrap();
@@ -998,7 +989,7 @@ mod tests {
 
     #[test]
     fn publish_changes_skips_noop_and_collapses_flaps() {
-        let store = EpochStore::new(8);
+        let store = bare_store(8);
         store
             .try_publish_changes(
                 &[RuleChange::installed(SwitchId(1), entry(1))],
@@ -1034,8 +1025,7 @@ mod tests {
         use rvaas_types::ClientId;
 
         let topology = generators::line(4, 2);
-        let store = EpochStore::new(8);
-        store.attach_interest_topology(topology.clone());
+        let store = EpochStore::new(8, topology.clone(), &Registry::new());
         store.register_interest(ClientId(1), &QuerySpec::ReachableDestinations);
         store.register_interest(ClientId(2), &QuerySpec::ReachableDestinations);
         assert_eq!(store.registered_interests(), 2);
@@ -1086,7 +1076,7 @@ mod tests {
 
     #[test]
     fn provenance_records_publishes_and_accumulates_reverification() {
-        let store = EpochStore::new(8);
+        let store = bare_store(8);
         store
             .try_publish(snapshot_with(&[1, 2]), SimTime::from_millis(1))
             .unwrap();
@@ -1131,8 +1121,8 @@ mod tests {
 
     #[test]
     fn content_digest_depends_on_content_not_publish_path() {
-        let a = EpochStore::new(4);
-        let b = EpochStore::new(4);
+        let a = bare_store(4);
+        let b = bare_store(4);
         a.try_publish(snapshot_with(&[1, 2]), SimTime::from_millis(1))
             .unwrap();
         b.try_publish_changes(
@@ -1151,7 +1141,7 @@ mod tests {
 
     #[test]
     fn publish_is_rejected_when_the_serial_space_is_exhausted() {
-        let store = EpochStore::new(4);
+        let store = bare_store(4);
         store
             .try_publish(snapshot_with(&[1]), SimTime::from_millis(1))
             .unwrap();

@@ -34,6 +34,7 @@
 //! use rvaas::{LocationMap, NetworkSnapshot, VerifierConfig};
 //! use rvaas_client::QuerySpec;
 //! use rvaas_service::{ServiceConfig, VerificationService};
+//! use rvaas_telemetry::TraceContext;
 //! use rvaas_topology::generators;
 //! use rvaas_types::{ClientId, SimTime};
 //!
@@ -43,9 +44,10 @@
 //!     locations: LocationMap::disclosed(&topology),
 //! });
 //! let service = VerificationService::new(topology, config);
-//! service.publish(&NetworkSnapshot::default(), SimTime::ZERO);
-//! let response = service.query(ClientId(1), QuerySpec::Isolation);
+//! service.try_publish(&NetworkSnapshot::default(), SimTime::ZERO)?;
+//! let response = service.try_query(ClientId(1), QuerySpec::Isolation, TraceContext::mint())?;
 //! assert_eq!(response.epoch_serial, 1);
+//! # Ok::<(), rvaas_service::ServiceError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -67,5 +69,5 @@ pub use epoch::{
     SnapshotEpoch,
 };
 pub use error::ServiceError;
-pub use pool::{QueryResponse, QueryTicket, ServiceStats, VerificationService};
+pub use pool::{QueryResponse, ServiceStats, VerificationService};
 pub use sync::{ReverifyStats, SyncServer};

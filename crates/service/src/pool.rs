@@ -69,30 +69,14 @@ enum WorkerMsg {
 
 /// A pending query's completion handle.
 #[derive(Debug)]
-pub struct QueryTicket {
+struct QueryTicket {
     rx: mpsc::Receiver<QueryResponse>,
 }
 
 impl QueryTicket {
-    /// Blocks until the worker delivers the response.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the service was shut down before answering; the served
-    /// network path uses [`QueryTicket::try_wait`] instead.
-    #[must_use]
-    pub fn wait(self) -> QueryResponse {
-        self.try_wait()
-            .expect("verification service dropped the query")
-    }
-
-    /// Blocks until the worker delivers the response.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError::QueryDropped`] if the service shut down
-    /// before answering.
-    pub fn try_wait(self) -> Result<QueryResponse, ServiceError> {
+    /// Blocks until the worker delivers the response; a service that shut
+    /// down before answering reports [`ServiceError::QueryDropped`].
+    fn wait(self) -> Result<QueryResponse, ServiceError> {
         self.rx.recv().map_err(|_| ServiceError::QueryDropped)
     }
 }
@@ -237,31 +221,22 @@ impl std::fmt::Debug for VerificationService {
 
 impl VerificationService {
     /// Starts the service over the trusted `topology`, with a fresh metric
-    /// registry of its own.
+    /// registry of its own ([`VerificationService::registry`]).
     #[must_use]
     pub fn new(topology: Topology, config: ServiceConfig) -> Self {
-        VerificationService::with_registry(topology, config, Registry::shared())
-    }
-
-    /// Starts the service recording into the shared `registry` — the one a
-    /// `/metrics` endpoint should render.
-    #[must_use]
-    pub fn with_registry(
-        topology: Topology,
-        config: ServiceConfig,
-        registry: Arc<Registry>,
-    ) -> Self {
+        let registry = Registry::shared();
         // Shape the process-global flight recorder before the first event;
         // the slow-query threshold additionally applies live.
         rvaas_telemetry::trace::configure(
             config.settings.trace_ring_capacity,
             config.settings.slow_query_threshold_us,
         );
-        let store = Arc::new(EpochStore::new(config.settings.max_delta_history.max(1)));
-        store.attach_shadow_telemetry(&registry);
-        store.attach_interest_topology(topology.clone());
-        store.attach_interest_telemetry(&registry);
-        let cache = Arc::new(ResultCache::with_registry(config.settings.cache, &registry));
+        let store = Arc::new(EpochStore::new(
+            config.settings.max_delta_history.max(1),
+            topology.clone(),
+            &registry,
+        ));
+        let cache = Arc::new(ResultCache::new(config.settings.cache, &registry));
         let metrics = Arc::new(ServiceMetrics::new(&registry));
         // History-mode verification folds recently *removed* rules into the
         // model; the incremental mirror tracks only installed state, so that
@@ -352,18 +327,6 @@ impl VerificationService {
     /// delta cannot affect stay valid (when the incremental engine is on);
     /// the rest are invalidated.
     ///
-    /// # Panics
-    ///
-    /// Panics when the epoch store rejects the publish (serial space
-    /// exhausted); the served network path uses
-    /// [`VerificationService::try_publish`] instead.
-    pub fn publish(&self, snapshot: &NetworkSnapshot, at: SimTime) -> u64 {
-        self.try_publish(snapshot, at)
-            .expect("epoch publish failed")
-    }
-
-    /// Fallible form of [`VerificationService::publish`].
-    ///
     /// # Errors
     ///
     /// Returns [`ServiceError::PublishRejected`] when the epoch store cannot
@@ -375,7 +338,7 @@ impl VerificationService {
     ) -> Result<u64, ServiceError> {
         self.metrics.epochs_published.inc();
         let published = {
-            let _span = self.metrics.stage_publish.span();
+            let _span = self.metrics.stage_publish.span(TraceId::NONE);
             self.store.try_publish(snapshot.clone(), at)?
         };
         self.finish_publish(&published);
@@ -384,25 +347,14 @@ impl VerificationService {
 
     /// Publishes a rule-level delta as the next epoch — the monitor's
     /// [`drain_changes`] output goes straight here, skipping the full-snapshot
-    /// re-digest of [`VerificationService::publish`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the epoch store rejects the publish; the served network
-    /// path uses [`VerificationService::try_publish_changes`].
-    ///
-    /// [`drain_changes`]: rvaas::ConfigMonitor::drain_changes
-    pub fn publish_changes(&self, changes: &[RuleChange], at: SimTime) -> u64 {
-        self.try_publish_changes(changes, at)
-            .expect("epoch delta publish failed")
-    }
-
-    /// Fallible form of [`VerificationService::publish_changes`].
+    /// re-digest of [`VerificationService::try_publish`].
     ///
     /// # Errors
     ///
     /// Returns [`ServiceError::PublishRejected`] when the epoch store cannot
     /// accept another epoch.
+    ///
+    /// [`drain_changes`]: rvaas::ConfigMonitor::drain_changes
     pub fn try_publish_changes(
         &self,
         changes: &[RuleChange],
@@ -410,7 +362,7 @@ impl VerificationService {
     ) -> Result<u64, ServiceError> {
         self.metrics.epochs_published.inc();
         let published = {
-            let _span = self.metrics.stage_publish.span();
+            let _span = self.metrics.stage_publish.span(TraceId::NONE);
             self.store.try_publish_changes(changes, at)?
         };
         self.finish_publish(&published);
@@ -429,10 +381,7 @@ impl VerificationService {
         if published.bulk_rebuild {
             self.metrics.shadow_bulk_rebuilds.inc();
         }
-        let _span = self
-            .metrics
-            .stage_cache_advance
-            .span_traced(published.trace);
+        let _span = self.metrics.stage_cache_advance.span(published.trace);
         let before = self.cache.stats();
         if self.incremental {
             // Workers register every query in the interest index before
@@ -454,41 +403,10 @@ impl VerificationService {
         );
     }
 
-    /// Enqueues a query on its client's worker shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool is shutting down; the served network path uses
-    /// [`VerificationService::try_submit`] instead.
-    #[must_use]
-    pub fn submit(&self, client: ClientId, spec: QuerySpec) -> QueryTicket {
-        self.try_submit(client, spec)
-            .expect("verification worker hung up")
-    }
-
-    /// Enqueues a query on its client's worker shard.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError::PoolUnavailable`] if the shard's worker has
-    /// hung up (the service is shutting down or the thread died).
-    pub fn try_submit(
-        &self,
-        client: ClientId,
-        spec: QuerySpec,
-    ) -> Result<QueryTicket, ServiceError> {
-        self.try_submit_traced(client, spec, TraceContext::mint())
-    }
-
-    /// Enqueues a query under an existing trace context — the daemon's
-    /// ingress layers mint the trace (so the ingress event leads the chain)
-    /// and thread it through here.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError::PoolUnavailable`] if the shard's worker has
-    /// hung up (the service is shutting down or the thread died).
-    pub fn try_submit_traced(
+    /// Enqueues a query on its client's worker shard under `trace`. Fails
+    /// with [`ServiceError::PoolUnavailable`] if the shard's worker has hung
+    /// up (the service is shutting down or the thread died).
+    fn try_submit(
         &self,
         client: ClientId,
         spec: QuerySpec,
@@ -516,59 +434,28 @@ impl VerificationService {
         Ok(QueryTicket { rx })
     }
 
-    /// Submits and waits: the synchronous convenience the controller
-    /// adapter uses.
-    #[must_use]
-    pub fn query(&self, client: ClientId, spec: QuerySpec) -> QueryResponse {
-        self.submit(client, spec).wait()
-    }
-
-    /// Submits and waits, reporting shutdown races as errors instead of
-    /// panicking — what the daemon's network handlers call.
+    /// Submits one query under `trace` and waits for the response. Ingress
+    /// layers mint the trace first, so their ingress event leads the chain;
+    /// other callers pass [`TraceContext::mint`].
     ///
     /// # Errors
     ///
     /// Returns [`ServiceError::PoolUnavailable`] or
-    /// [`ServiceError::QueryDropped`] when the pool cannot answer.
+    /// [`ServiceError::QueryDropped`] when the pool cannot answer (the
+    /// service is shutting down or a worker died).
     pub fn try_query(
-        &self,
-        client: ClientId,
-        spec: QuerySpec,
-    ) -> Result<QueryResponse, ServiceError> {
-        self.try_submit(client, spec)?.try_wait()
-    }
-
-    /// Submits one query under an existing trace context and waits for the
-    /// response; the fallible equivalent of [`Self::try_query`] for ingress
-    /// layers that already minted the trace.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the same failures as [`Self::try_submit`] and
-    /// [`QueryTicket::try_wait`].
-    pub fn try_query_traced(
         &self,
         client: ClientId,
         spec: QuerySpec,
         trace: TraceContext,
     ) -> Result<QueryResponse, ServiceError> {
-        self.try_submit_traced(client, spec, trace)?.try_wait()
+        self.try_submit(client, spec, trace)?.wait()
     }
 
-    /// Submits a whole workload and waits for every response (in submission
-    /// order).
-    #[must_use]
-    pub fn query_all(&self, queries: &[(ClientId, QuerySpec)]) -> Vec<QueryResponse> {
-        let tickets: Vec<QueryTicket> = queries
-            .iter()
-            .map(|(client, spec)| self.submit(*client, spec.clone()))
-            .collect();
-        tickets.into_iter().map(QueryTicket::wait).collect()
-    }
-
-    /// Fallible form of [`VerificationService::query_all`]: submits
-    /// everything before waiting (so one worker answers the whole set as a
-    /// batch), failing as a unit if the pool goes away.
+    /// Submits a whole workload, each query on a fresh trace, and waits for
+    /// every response (in submission order). Everything is submitted before
+    /// waiting, so one worker answers the whole set as a batch; the call
+    /// fails as a unit if the pool goes away.
     ///
     /// # Errors
     ///
@@ -579,9 +466,9 @@ impl VerificationService {
     ) -> Result<Vec<QueryResponse>, ServiceError> {
         let tickets: Vec<QueryTicket> = queries
             .iter()
-            .map(|(client, spec)| self.try_submit(*client, spec.clone()))
+            .map(|(client, spec)| self.try_submit(*client, spec.clone(), TraceContext::mint()))
             .collect::<Result<_, _>>()?;
-        tickets.into_iter().map(QueryTicket::try_wait).collect()
+        tickets.into_iter().map(QueryTicket::wait).collect()
     }
 
     /// A point-in-time copy of the activity counters.
@@ -706,7 +593,7 @@ fn worker_loop(rx: &mpsc::Receiver<WorkerMsg>, mut ctx: WorkerContext) {
         let mut evaluator = if ctx.incremental {
             {
                 let sync_hist = Arc::clone(&ctx.metrics.stage_model_sync);
-                let _span = sync_hist.span_traced(batch_trace.id);
+                let _span = sync_hist.span(batch_trace.id);
                 let _ambient = batch_trace.enter();
                 let from_serial = ctx.model_serial;
                 ctx.sync_model(&epoch);
@@ -723,7 +610,7 @@ fn worker_loop(rx: &mpsc::Receiver<WorkerMsg>, mut ctx: WorkerContext) {
         if batch.len() > 1 {
             ctx.metrics.batched_queries.add(batch.len() as u64);
         }
-        let _eval_span = ctx.metrics.stage_eval.span_traced(batch_trace.id);
+        let _eval_span = ctx.metrics.stage_eval.span(batch_trace.id);
         for job in batch {
             let _ambient = job.trace.enter();
             let result = match ctx.cache.get(epoch.serial, job.client, &job.spec) {
@@ -786,6 +673,7 @@ fn worker_loop(rx: &mpsc::Receiver<WorkerMsg>, mut ctx: WorkerContext) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ServiceSettings;
     use rvaas::{LocationMap, VerifierConfig};
     use rvaas_controlplane::benign_rules;
     use rvaas_topology::generators;
@@ -799,15 +687,27 @@ mod tests {
         for (switch, entry) in benign_rules(topology) {
             snapshot.record_installed(switch, entry, SimTime::from_millis(1));
         }
-        let config = ServiceConfig::new(VerifierConfig {
+        let config = ServiceSettings {
+            workers,
+            cache,
+            ..ServiceSettings::default()
+        }
+        .into_config(VerifierConfig {
             use_history: false,
             locations: LocationMap::disclosed(topology),
-        })
-        .with_workers(workers)
-        .with_cache(cache);
+        });
         let service = VerificationService::new(topology.clone(), config);
-        service.publish(&snapshot, SimTime::from_millis(1));
+        service
+            .try_publish(&snapshot, SimTime::from_millis(1))
+            .unwrap();
         (service, snapshot)
+    }
+
+    /// One query on a fresh trace, as a non-ingress caller submits it.
+    fn ask(service: &VerificationService, client: ClientId, spec: QuerySpec) -> QueryResponse {
+        service
+            .try_query(client, spec, TraceContext::mint())
+            .expect("pool answers")
     }
 
     fn all_specs(topology: &Topology) -> Vec<QuerySpec> {
@@ -838,7 +738,7 @@ mod tests {
             .iter()
             .flat_map(|c| all_specs(&topology).into_iter().map(move |s| (*c, s)))
             .collect();
-        let responses = service.query_all(&workload);
+        let responses = service.try_query_all(&workload).unwrap();
         assert_eq!(responses.len(), workload.len());
         for response in &responses {
             let expected = verifier.answer(&snapshot, response.client, &response.spec);
@@ -858,16 +758,21 @@ mod tests {
         let topology = generators::line(6, 3);
         let (incremental_service, mut snapshot) = service_over(&topology, 1, false);
         assert!(incremental_service.incremental_enabled());
-        let full_config = ServiceConfig::new(VerifierConfig {
+        let full_config = ServiceSettings {
+            workers: 1,
+            cache: false,
+            incremental: false,
+            ..ServiceSettings::default()
+        }
+        .into_config(VerifierConfig {
             use_history: false,
             locations: LocationMap::disclosed(&topology),
-        })
-        .with_workers(1)
-        .with_cache(false)
-        .with_incremental(false);
+        });
         let full_service = VerificationService::new(topology.clone(), full_config);
         assert!(!full_service.incremental_enabled());
-        full_service.publish(&snapshot, SimTime::from_millis(1));
+        full_service
+            .try_publish(&snapshot, SimTime::from_millis(1))
+            .unwrap();
 
         let workload: Vec<(ClientId, QuerySpec)> = (1..=3)
             .flat_map(|c| {
@@ -886,10 +791,14 @@ mod tests {
                 ),
                 SimTime::from_millis(10 + round),
             );
-            incremental_service.publish(&snapshot, SimTime::from_millis(10 + round));
-            full_service.publish(&snapshot, SimTime::from_millis(10 + round));
-            let inc = incremental_service.query_all(&workload);
-            let full = full_service.query_all(&workload);
+            incremental_service
+                .try_publish(&snapshot, SimTime::from_millis(10 + round))
+                .unwrap();
+            full_service
+                .try_publish(&snapshot, SimTime::from_millis(10 + round))
+                .unwrap();
+            let inc = incremental_service.try_query_all(&workload).unwrap();
+            let full = full_service.try_query_all(&workload).unwrap();
             for (a, b) in inc.iter().zip(full.iter()) {
                 assert_eq!(
                     a.result, b.result,
@@ -912,8 +821,8 @@ mod tests {
     fn cache_hits_repeat_queries_and_invalidates_on_epoch_advance() {
         let topology = generators::line(4, 2);
         let (service, mut snapshot) = service_over(&topology, 1, true);
-        let first = service.query(ClientId(1), QuerySpec::Isolation);
-        let again = service.query(ClientId(1), QuerySpec::Isolation);
+        let first = ask(&service, ClientId(1), QuerySpec::Isolation);
+        let again = ask(&service, ClientId(1), QuerySpec::Isolation);
         assert_eq!(first.result, again.result);
         assert_eq!(first.epoch_serial, again.epoch_serial);
         let stats = service.stats();
@@ -930,8 +839,10 @@ mod tests {
             ),
             SimTime::from_millis(5),
         );
-        let serial = service.publish(&snapshot, SimTime::from_millis(5));
-        let after = service.query(ClientId(1), QuerySpec::Isolation);
+        let serial = service
+            .try_publish(&snapshot, SimTime::from_millis(5))
+            .unwrap();
+        let after = ask(&service, ClientId(1), QuerySpec::Isolation);
         assert_eq!(after.epoch_serial, serial);
         let stats = service.stats();
         assert_eq!(stats.cache_hits, 1, "post-publish query must recompute");
@@ -945,7 +856,7 @@ mod tests {
         let (service, mut snapshot) = service_over(&topology, 1, true);
         let h3_ip = topology.hosts().find(|h| h.id.0 == 3).expect("host 3").ip;
         let spec = QuerySpec::PathLength { to_ip: h3_ip };
-        let before = service.query(ClientId(1), spec.clone());
+        let before = ask(&service, ClientId(1), spec.clone());
 
         // Churn pinned to a tenant pair that cannot intersect the path-length
         // query's (src ∈ client 1, dst = h3) interest: src and dst pinned to
@@ -962,8 +873,10 @@ mod tests {
             ),
             SimTime::from_millis(5),
         );
-        let serial = service.publish(&snapshot, SimTime::from_millis(5));
-        let after = service.query(ClientId(1), spec);
+        let serial = service
+            .try_publish(&snapshot, SimTime::from_millis(5))
+            .unwrap();
+        let after = ask(&service, ClientId(1), spec);
         assert_eq!(after.epoch_serial, serial);
         assert_eq!(after.result, before.result);
         let stats = service.stats();
@@ -990,8 +903,14 @@ mod tests {
                 ),
                 SimTime::from_millis(round),
             );
-            let serial = service.publish(&snapshot, SimTime::from_millis(round));
-            let response = service.query(ClientId(1 + (round % 2) as u32), QuerySpec::Isolation);
+            let serial = service
+                .try_publish(&snapshot, SimTime::from_millis(round))
+                .unwrap();
+            let response = ask(
+                &service,
+                ClientId(1 + (round % 2) as u32),
+                QuerySpec::Isolation,
+            );
             assert!(response.epoch_serial <= serial);
             assert!(response.epoch_serial >= 1);
         }
@@ -1015,7 +934,7 @@ mod tests {
         let (mut service, _snapshot) = service_over(&topology, 2, false);
         kill_workers(&mut service);
         let err = service
-            .try_submit(ClientId(1), QuerySpec::Isolation)
+            .try_submit(ClientId(1), QuerySpec::Isolation, TraceContext::mint())
             .unwrap_err();
         assert!(matches!(
             err,
@@ -1024,7 +943,7 @@ mod tests {
             }
         ));
         assert!(matches!(
-            service.try_query(ClientId(1), QuerySpec::Isolation),
+            service.try_query(ClientId(1), QuerySpec::Isolation, TraceContext::mint()),
             Err(ServiceError::PoolUnavailable { .. })
         ));
         assert!(matches!(
@@ -1037,7 +956,7 @@ mod tests {
     fn query_responses_carry_a_reconstructable_trace_chain() {
         let topology = generators::line(3, 1);
         let (service, _snapshot) = service_over(&topology, 1, true);
-        let response = service.query(ClientId(1), QuerySpec::Isolation);
+        let response = ask(&service, ClientId(1), QuerySpec::Isolation);
         assert!(!response.trace.is_none(), "default-on tracing mints an id");
         let chain = rvaas_telemetry::trace::recorder().chain(response.trace);
         let stages: Vec<TraceStage> = chain.iter().map(|e| e.stage).collect();
@@ -1061,7 +980,7 @@ mod tests {
         );
 
         // The repeat is served from cache, on a fresh trace of its own.
-        let again = service.query(ClientId(1), QuerySpec::Isolation);
+        let again = ask(&service, ClientId(1), QuerySpec::Isolation);
         assert_ne!(again.trace, response.trace);
         let chain = rvaas_telemetry::trace::recorder().chain(again.trace);
         assert!(chain.iter().any(|e| e.stage == TraceStage::CacheHit));
@@ -1075,6 +994,6 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         drop(tx);
         let ticket = QueryTicket { rx };
-        assert!(matches!(ticket.try_wait(), Err(ServiceError::QueryDropped)));
+        assert!(matches!(ticket.wait(), Err(ServiceError::QueryDropped)));
     }
 }

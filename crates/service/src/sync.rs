@@ -65,16 +65,10 @@ pub struct SyncServer {
 impl SyncServer {
     /// Creates a server over `store` with the given session id (must be
     /// non-zero: clients use session 0 to mean "no session yet"), counting
-    /// into a private registry.
+    /// into `registry` — typically the owning service's, so one scrape
+    /// covers both. Servers sharing a registry share its counts.
     #[must_use]
-    pub fn new(store: Arc<EpochStore>, session_id: u16) -> Self {
-        SyncServer::with_registry(store, session_id, &Registry::new())
-    }
-
-    /// Like [`SyncServer::new`], but counting into the shared `registry`
-    /// (typically the owning service's, so one scrape covers both).
-    #[must_use]
-    pub fn with_registry(store: Arc<EpochStore>, session_id: u16, registry: &Registry) -> Self {
+    pub fn new(store: Arc<EpochStore>, session_id: u16, registry: &Registry) -> Self {
         SyncServer {
             store,
             session_id: session_id.max(1),
@@ -121,19 +115,6 @@ impl SyncServer {
             .insert(spec);
     }
 
-    /// Answers one sync request. `service` is consulted to re-verify the
-    /// client's standing queries when a delta is served.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the service shuts down mid-reverification; the daemon's
-    /// listener uses [`SyncServer::try_handle`].
-    #[must_use]
-    pub fn handle(&self, service: &VerificationService, request: &SyncRequest) -> SyncResponse {
-        self.try_handle(service, request)
-            .expect("sync reverification dropped")
-    }
-
     /// Answers one raw sync frame, as read off a TCP connection: decodes the
     /// in-band message, dispatches it, and encodes the response.
     ///
@@ -157,7 +138,8 @@ impl SyncServer {
         }
     }
 
-    /// Fallible form of [`SyncServer::handle`].
+    /// Answers one sync request. `service` is consulted to re-verify the
+    /// client's standing queries when a delta is served.
     ///
     /// # Errors
     ///
@@ -233,7 +215,7 @@ impl SyncServer {
         affected: &AffectedQueries,
         trace: TraceContext,
     ) -> Result<Vec<ReverifiedQuery>, ServiceError> {
-        let _span = self.reverify_latency.span_traced(trace.id);
+        let _span = self.reverify_latency.span(trace.id);
         // The affected-set test: the window's stored per-epoch selections,
         // unioned by `delta_between`, intersected with this client's
         // subscriptions. Unselected standing queries provably kept their
@@ -281,7 +263,7 @@ impl SyncServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ServiceConfig;
+    use crate::config::ServiceSettings;
     use rvaas::{LocationMap, NetworkSnapshot, VerifierConfig};
     use rvaas_client::{QueryResult, SyncSession};
     use rvaas_controlplane::benign_rules;
@@ -295,15 +277,20 @@ mod tests {
         for (switch, entry) in benign_rules(&topology) {
             snapshot.record_installed(switch, entry, SimTime::from_millis(1));
         }
-        let mut config = ServiceConfig::new(VerifierConfig {
+        let config = ServiceSettings {
+            workers: 2,
+            max_delta_history: max_deltas,
+            ..ServiceSettings::default()
+        }
+        .into_config(VerifierConfig {
             use_history: false,
             locations: LocationMap::disclosed(&topology),
-        })
-        .with_workers(2);
-        config.settings.max_delta_history = max_deltas;
+        });
         let service = VerificationService::new(topology, config);
-        service.publish(&snapshot, SimTime::from_millis(1));
-        let server = SyncServer::new(service.store(), 42);
+        service
+            .try_publish(&snapshot, SimTime::from_millis(1))
+            .unwrap();
+        let server = SyncServer::new(service.store(), 42, &service.registry());
         (service, server, snapshot)
     }
 
@@ -321,21 +308,29 @@ mod tests {
         let mut session = SyncSession::new();
         let client = ClientId(1);
 
-        let response = server.handle(&service, &session.request(client));
+        let response = server
+            .try_handle(&service, &session.request(client))
+            .unwrap();
         assert!(matches!(response.payload, SyncPayload::Reset { .. }));
         session.apply(&response).unwrap();
         assert_eq!(session.serial(), service.current_serial());
         assert_eq!(session.digests(), &service.store().current().digests);
 
         // No change: unchanged.
-        let response = server.handle(&service, &session.request(client));
+        let response = server
+            .try_handle(&service, &session.request(client))
+            .unwrap();
         assert_eq!(response.payload, SyncPayload::Unchanged);
         session.apply(&response).unwrap();
 
         // One change: a delta that brings the mirror up to date.
         churn(&mut snapshot, 1);
-        service.publish(&snapshot, SimTime::from_millis(11));
-        let response = server.handle(&service, &session.request(client));
+        service
+            .try_publish(&snapshot, SimTime::from_millis(11))
+            .unwrap();
+        let response = server
+            .try_handle(&service, &session.request(client))
+            .unwrap();
         assert!(matches!(response.payload, SyncPayload::Delta { .. }));
         session.apply(&response).unwrap();
         assert_eq!(session.serial(), service.current_serial());
@@ -348,17 +343,25 @@ mod tests {
         let mut session = SyncSession::new();
         let client = ClientId(1);
         session
-            .apply(&server.handle(&service, &session.request(client)))
+            .apply(
+                &server
+                    .try_handle(&service, &session.request(client))
+                    .unwrap(),
+            )
             .unwrap();
         let old_serial = session.serial();
 
         // Churn far past the retained delta window.
         for round in 0..6 {
             churn(&mut snapshot, round);
-            service.publish(&snapshot, SimTime::from_millis(u64::from(20 + round)));
+            service
+                .try_publish(&snapshot, SimTime::from_millis(u64::from(20 + round)))
+                .unwrap();
         }
         assert!(service.store().delta_since(old_serial).is_none());
-        let response = server.handle(&service, &session.request(client));
+        let response = server
+            .try_handle(&service, &session.request(client))
+            .unwrap();
         assert!(
             matches!(response.payload, SyncPayload::Reset { .. }),
             "evicted history must force a reset"
@@ -372,11 +375,17 @@ mod tests {
         let (service, server, _snapshot) = setup(16);
         let mut session = SyncSession::new();
         session
-            .apply(&server.handle(&service, &session.request(ClientId(1))))
+            .apply(
+                &server
+                    .try_handle(&service, &session.request(ClientId(1)))
+                    .unwrap(),
+            )
             .unwrap();
         // A server restart shows up as a new session id.
-        let restarted = SyncServer::new(service.store(), 43);
-        let response = restarted.handle(&service, &session.request(ClientId(1)));
+        let restarted = SyncServer::new(service.store(), 43, &Registry::new());
+        let response = restarted
+            .try_handle(&service, &session.request(ClientId(1)))
+            .unwrap();
         assert!(matches!(response.payload, SyncPayload::Reset { .. }));
         assert_eq!(response.session, 43);
     }
@@ -388,12 +397,20 @@ mod tests {
         server.subscribe(client, QuerySpec::Isolation);
         let mut session = SyncSession::new();
         session
-            .apply(&server.handle(&service, &session.request(client)))
+            .apply(
+                &server
+                    .try_handle(&service, &session.request(client))
+                    .unwrap(),
+            )
             .unwrap();
 
         churn(&mut snapshot, 1);
-        service.publish(&snapshot, SimTime::from_millis(11));
-        let response = server.handle(&service, &session.request(client));
+        service
+            .try_publish(&snapshot, SimTime::from_millis(11))
+            .unwrap();
+        let response = server
+            .try_handle(&service, &session.request(client))
+            .unwrap();
         let SyncPayload::Delta { reverified, .. } = &response.payload else {
             panic!("expected a delta, got {response:?}");
         };
@@ -442,10 +459,18 @@ mod tests {
         let mut session1 = SyncSession::new();
         let mut session2 = SyncSession::new();
         session1
-            .apply(&server.handle(&service, &session1.request(ClientId(1))))
+            .apply(
+                &server
+                    .try_handle(&service, &session1.request(ClientId(1)))
+                    .unwrap(),
+            )
             .unwrap();
         session2
-            .apply(&server.handle(&service, &session2.request(ClientId(2))))
+            .apply(
+                &server
+                    .try_handle(&service, &session2.request(ClientId(2)))
+                    .unwrap(),
+            )
             .unwrap();
 
         // Churn pinned to client 1's own (src, dst) pair: client 2's
@@ -460,15 +485,21 @@ mod tests {
             ),
             SimTime::from_millis(20),
         );
-        service.publish(&snapshot, SimTime::from_millis(20));
+        service
+            .try_publish(&snapshot, SimTime::from_millis(20))
+            .unwrap();
 
-        let response1 = server.handle(&service, &session1.request(ClientId(1)));
+        let response1 = server
+            .try_handle(&service, &session1.request(ClientId(1)))
+            .unwrap();
         let SyncPayload::Delta { reverified, .. } = &response1.payload else {
             panic!("expected a delta for client 1, got {response1:?}");
         };
         assert_eq!(reverified.len(), 1, "client 1's own traffic changed");
 
-        let response2 = server.handle(&service, &session2.request(ClientId(2)));
+        let response2 = server
+            .try_handle(&service, &session2.request(ClientId(2)))
+            .unwrap();
         let SyncPayload::Delta { reverified, .. } = &response2.payload else {
             panic!("expected a delta for client 2, got {response2:?}");
         };
@@ -487,7 +518,11 @@ mod tests {
         let client = ClientId(1);
         let mut session = SyncSession::new();
         session
-            .apply(&server.handle(&service, &session.request(client)))
+            .apply(
+                &server
+                    .try_handle(&service, &session.request(client))
+                    .unwrap(),
+            )
             .unwrap();
         let rule_count = session.digests().len();
 
@@ -496,9 +531,13 @@ mod tests {
         for round in 0..changes {
             churn(&mut snapshot, round);
         }
-        service.publish(&snapshot, SimTime::from_millis(30));
+        service
+            .try_publish(&snapshot, SimTime::from_millis(30))
+            .unwrap();
 
-        let delta_response = server.handle(&service, &session.request(client));
+        let delta_response = server
+            .try_handle(&service, &session.request(client))
+            .unwrap();
         assert!(matches!(delta_response.payload, SyncPayload::Delta { .. }));
         let reset_equivalent = SyncResponse {
             session: delta_response.session,

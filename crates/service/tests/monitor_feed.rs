@@ -14,16 +14,20 @@ use rvaas_client::QuerySpec;
 use rvaas_controlplane::benign_rules;
 use rvaas_controlplane::routing::PRIO_TRANSIT;
 use rvaas_openflow::{Action, FlowEntry, FlowMatch, Message};
-use rvaas_service::{ServiceConfig, VerificationService};
+use rvaas_service::{ServiceSettings, VerificationService};
+use rvaas_telemetry::TraceContext;
 use rvaas_topology::generators;
 use rvaas_types::{ClientId, SimTime, SwitchId};
 
 fn service_over(topology: &rvaas_topology::Topology) -> VerificationService {
-    let config = ServiceConfig::new(VerifierConfig {
+    let config = ServiceSettings {
+        workers: 1,
+        ..ServiceSettings::default()
+    }
+    .into_config(VerifierConfig {
         use_history: false,
         locations: LocationMap::disclosed(topology),
-    })
-    .with_workers(1);
+    });
     VerificationService::new(topology.clone(), config)
 }
 
@@ -40,8 +44,12 @@ fn assert_epochs_agree(delta: &VerificationService, full: &VerificationService, 
         "{round}: rule counts diverged"
     );
     let spec = QuerySpec::ReachableDestinations;
-    let dv = delta.try_query(ClientId(1), spec.clone()).unwrap();
-    let fv = full.try_query(ClientId(1), spec).unwrap();
+    let dv = delta
+        .try_query(ClientId(1), spec.clone(), TraceContext::mint())
+        .unwrap();
+    let fv = full
+        .try_query(ClientId(1), spec, TraceContext::mint())
+        .unwrap();
     assert_eq!(dv.result, fv.result, "{round}: verdicts diverged");
 }
 
@@ -119,7 +127,9 @@ fn monitor_drained_changes_reproduce_full_snapshot_publishes() {
     // FlowMonitorNotify of the rewritten entries -------------------------
     let at = SimTime::from_millis(40);
     let spec = QuerySpec::ReachableDestinations;
-    let before = full_service.try_query(ClientId(1), spec.clone()).unwrap();
+    let before = full_service
+        .try_query(ClientId(1), spec.clone(), TraceContext::mint())
+        .unwrap();
     let mut rewrites = 0;
     for (switch, entry) in &seed[3..] {
         if entry.priority != PRIO_TRANSIT {
@@ -145,7 +155,9 @@ fn monitor_drained_changes_reproduce_full_snapshot_publishes() {
     delta_service.try_publish_changes(&changes, at).unwrap();
     full_service.try_publish(monitor.snapshot(), at).unwrap();
     assert_epochs_agree(&delta_service, &full_service, "modify");
-    let after = full_service.try_query(ClientId(1), spec).unwrap();
+    let after = full_service
+        .try_query(ClientId(1), spec, TraceContext::mint())
+        .unwrap();
     assert_ne!(
         before.result, after.result,
         "the rewrite changed the verdict"

@@ -101,12 +101,6 @@ impl Histogram {
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// Records the elapsed microseconds since `start`.
-    pub fn record_since(&self, start: Instant) {
-        let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.record(us);
-    }
-
     /// Records one observation and, when it is the worst traced one seen so
     /// far, remembers `trace` as the family's exemplar. The exemplar update
     /// is two relaxed stores on a path taken only for new maxima; a racing
@@ -118,12 +112,6 @@ impl Histogram {
             self.exemplar_value.store(value, Ordering::Relaxed);
             self.exemplar_trace.store(trace.0, Ordering::Relaxed);
         }
-    }
-
-    /// Records elapsed microseconds since `start` under `trace`.
-    pub fn record_since_traced(&self, start: Instant, trace: TraceId) {
-        let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.record_traced(us, trace);
     }
 
     /// The worst traced observation and its trace, if any was recorded via
@@ -139,20 +127,10 @@ impl Histogram {
     }
 
     /// An RAII timer that records elapsed microseconds into this histogram
-    /// when dropped.
+    /// when dropped, attributed to `trace` so it can become the histogram's
+    /// exemplar ([`TraceId::NONE`] records without one).
     #[must_use]
-    pub fn span(&self) -> Span<'_> {
-        Span {
-            histogram: self,
-            start: Instant::now(),
-            trace: TraceId::NONE,
-        }
-    }
-
-    /// Like [`span`](Histogram::span), but the observation is attributed to
-    /// `trace` so it can become the histogram's exemplar.
-    #[must_use]
-    pub fn span_traced(&self, trace: TraceId) -> Span<'_> {
+    pub fn span(&self, trace: TraceId) -> Span<'_> {
         Span {
             histogram: self,
             start: Instant::now(),
@@ -290,8 +268,9 @@ impl HistogramSnapshot {
 
 /// RAII timer: records elapsed microseconds into its histogram on drop.
 ///
-/// Obtained from [`Histogram::span`]; see also
-/// [`Registry::span`](crate::Registry::span) for the labelled stage variant.
+/// Obtained from [`Histogram::span`]; time a labelled stage through the
+/// handle [`Registry::stage_histogram`](crate::Registry::stage_histogram)
+/// returns.
 #[derive(Debug)]
 pub struct Span<'a> {
     histogram: &'a Histogram,
@@ -301,7 +280,8 @@ pub struct Span<'a> {
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        self.histogram.record_since_traced(self.start, self.trace);
+        let us = u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX);
+        self.histogram.record_traced(us, self.trace);
     }
 }
 
@@ -458,7 +438,7 @@ mod tests {
     fn span_records_on_drop() {
         let h = Histogram::new();
         {
-            let _span = h.span();
+            let _span = h.span(TraceId::NONE);
         }
         assert_eq!(h.snapshot().count, 1);
     }

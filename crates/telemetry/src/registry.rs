@@ -8,9 +8,8 @@ use crate::trace::TraceId;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
-/// Histogram family every [`Registry::span`] records into.
+/// Histogram family every [`Registry::stage_histogram`] handle records into.
 pub const STAGE_LATENCY_METRIC: &str = "rvaas_stage_latency_us";
 
 /// What kind of metric a family holds.
@@ -150,29 +149,6 @@ impl Registry {
             "Per-stage latency of the query/epoch lifecycle, in microseconds.",
             &[("stage", stage)],
         )
-    }
-
-    /// An RAII timer for one stage of the query lifecycle: records elapsed
-    /// microseconds into `rvaas_stage_latency_us{stage="<stage>"}` on drop.
-    #[must_use]
-    pub fn span(&self, stage: &str) -> StageSpan {
-        StageSpan {
-            histogram: self.stage_histogram(stage),
-            start: Instant::now(),
-            trace: TraceId::NONE,
-        }
-    }
-
-    /// Like [`span`](Registry::span) but attributed to `trace`, so the
-    /// stage family's exemplar can point back at the worst observation's
-    /// flight-recorder chain.
-    #[must_use]
-    pub fn span_traced(&self, stage: &str, trace: TraceId) -> StageSpan {
-        StageSpan {
-            histogram: self.stage_histogram(stage),
-            start: Instant::now(),
-            trace,
-        }
     }
 
     /// Every histogram instance that currently remembers an exemplar. The
@@ -357,25 +333,6 @@ fn render_histogram(
     );
 }
 
-/// RAII timer over the shared `rvaas_stage_latency_us` histogram; created by
-/// [`Registry::span`], records elapsed microseconds on drop.
-#[derive(Debug)]
-pub struct StageSpan {
-    histogram: Arc<Histogram>,
-    start: Instant,
-    trace: TraceId,
-}
-
-impl Drop for StageSpan {
-    fn drop(&mut self) {
-        if self.trace.is_none() {
-            self.histogram.record_since(self.start);
-        } else {
-            self.histogram.record_since_traced(self.start, self.trace);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,11 +394,14 @@ mod tests {
     #[test]
     fn span_records_into_stage_histogram() {
         let registry = Registry::new();
+        let eval = registry.stage_histogram("pool.eval");
         {
-            let _span = registry.span("pool.eval");
+            let _span = eval.span(TraceId::NONE);
         }
         {
-            let _span = registry.span("pool.eval");
+            // A second lookup of the same stage shares the instrument.
+            let again = registry.stage_histogram("pool.eval");
+            let _span = again.span(TraceId::NONE);
         }
         let snap = registry.histogram_snapshot(STAGE_LATENCY_METRIC);
         assert_eq!(snap.count, 2);
@@ -450,8 +410,9 @@ mod tests {
     #[test]
     fn traced_spans_surface_as_family_exemplars() {
         let registry = Registry::new();
+        let eval = registry.stage_histogram("pool.eval");
         {
-            let _span = registry.span_traced("pool.eval", TraceId(42));
+            let _span = eval.span(TraceId(42));
         }
         let exemplars = registry.exemplars();
         assert_eq!(exemplars.len(), 1);
@@ -464,7 +425,7 @@ mod tests {
         assert_eq!(exemplar.trace, TraceId(42));
         // Untraced spans never displace an exemplar's trace link.
         {
-            let _span = registry.span("pool.eval");
+            let _span = eval.span(TraceId::NONE);
         }
         assert_eq!(registry.exemplars()[0].trace, TraceId(42));
     }

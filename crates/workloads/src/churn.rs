@@ -220,8 +220,10 @@ pub fn run_incremental_churn(
         }),
     );
     let mut snapshot = benign_snapshot(topology);
-    service.publish(&snapshot, SimTime::from_millis(1));
-    let server = SyncServer::new(service.store(), 9);
+    service
+        .try_publish(&snapshot, SimTime::from_millis(1))
+        .expect("epoch publish");
+    let server = SyncServer::new(service.store(), 9, &service.registry());
 
     let clients = clients_of(topology);
     let mix = query_mix(topology);
@@ -235,7 +237,11 @@ pub fn run_incremental_churn(
         .map(|client| {
             let mut session = SyncSession::new();
             session
-                .apply(&server.handle(&service, &session.request(*client)))
+                .apply(
+                    &server
+                        .try_handle(&service, &session.request(*client))
+                        .expect("sync answers"),
+                )
                 .expect("initial reset applies");
             (*client, session)
         })
@@ -257,9 +263,11 @@ pub fn run_incremental_churn(
             config.rules_per_client,
             at,
         );
-        service.publish(&snapshot, at);
+        service.try_publish(&snapshot, at).expect("epoch publish");
         for (client, session) in &mut sessions {
-            let response = server.handle(&service, &session.request(*client));
+            let response = server
+                .try_handle(&service, &session.request(*client))
+                .expect("sync answers");
             session.apply(&response).expect("sync applies");
         }
         if round > 1 {

@@ -162,8 +162,10 @@ pub fn run_query_scale(topology: &Topology, config: &QueryScaleConfig) -> QueryS
         }),
     );
     let mut snapshot = benign_snapshot(topology);
-    service.publish(&snapshot, SimTime::from_millis(1));
-    let server = SyncServer::new(service.store(), 9);
+    service
+        .try_publish(&snapshot, SimTime::from_millis(1))
+        .expect("epoch publish");
+    let server = SyncServer::new(service.store(), 9, &service.registry());
 
     for client in &clients {
         for spec in &mix {
@@ -178,7 +180,11 @@ pub fn run_query_scale(topology: &Topology, config: &QueryScaleConfig) -> QueryS
         .map(|client| {
             let mut session = SyncSession::new();
             session
-                .apply(&server.handle(&service, &session.request(*client)))
+                .apply(
+                    &server
+                        .try_handle(&service, &session.request(*client))
+                        .expect("sync answers"),
+                )
                 .expect("initial reset applies");
             (*client, session)
         })
@@ -199,9 +205,11 @@ pub fn run_query_scale(topology: &Topology, config: &QueryScaleConfig) -> QueryS
             config.rules_per_client,
             at,
         );
-        service.publish(&snapshot, at);
+        service.try_publish(&snapshot, at).expect("epoch publish");
         for (client, session) in &mut sessions {
-            let response = server.handle(&service, &session.request(*client));
+            let response = server
+                .try_handle(&service, &session.request(*client))
+                .expect("sync answers");
             session.apply(&response).expect("sync applies");
         }
         if round > 1 {

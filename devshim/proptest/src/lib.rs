@@ -184,7 +184,7 @@ pub mod strategy {
         }
     }
 
-    /// The strategy returned by [`any`](crate::prelude::any).
+    /// The strategy returned by [`any`].
     #[derive(Debug, Clone, Copy, Default)]
     pub struct Any<T> {
         _marker: std::marker::PhantomData<T>,
@@ -235,7 +235,7 @@ pub mod collection {
     use super::test_runner::TestRng;
     use std::ops::Range;
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,
