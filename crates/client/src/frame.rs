@@ -98,6 +98,11 @@ impl From<FrameError> for io::Error {
 
 /// Writes one length-prefixed frame and flushes the stream.
 ///
+/// The length prefix and the payload go out in a single `write_all` of one
+/// buffer. Two writes would put the payload in a second small segment that
+/// Nagle's algorithm holds back until the peer ACKs the first one, and a
+/// peer in delayed-ACK mode waits about 40 ms before it does.
+///
 /// # Errors
 ///
 /// Returns [`FrameError::Oversized`] when `payload` exceeds
@@ -107,8 +112,10 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), FrameError
     if payload.len() > MAX_FRAME_LEN {
         return Err(FrameError::Oversized { len: payload.len() });
     }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -180,6 +187,37 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"third frame");
         assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF is None");
+    }
+
+    /// Counts `write` calls: each one is a separate segment on a
+    /// `TCP_NODELAY` socket.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        for payload in [&b""[..], b"x", &[7u8; 4096]] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes, 1, "{}-byte payload", payload.len());
+            assert_eq!(&w.bytes[..4], &(payload.len() as u32).to_be_bytes());
+            assert_eq!(&w.bytes[4..], payload);
+        }
     }
 
     #[test]

@@ -17,9 +17,12 @@
 //! priority ([`rvaas` uses 1000]), so client query packets are punted to the
 //! controller before the edge drop can discard them.
 
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap, VecDeque};
+
 use rvaas_openflow::{Action, FlowEntry, FlowMatch};
-use rvaas_topology::Topology;
-use rvaas_types::{FlowCookie, SwitchId};
+use rvaas_topology::{Host, Topology};
+use rvaas_types::{FlowCookie, PortId, SwitchId};
 
 /// Cookie tagging rules installed by the benign provider policy.
 pub const BENIGN_COOKIE: FlowCookie = FlowCookie(0x0001);
@@ -38,9 +41,22 @@ pub const PRIO_TRANSIT: u16 = 100;
 
 /// Compiles the benign routing policy for `topology`.
 ///
-/// Returns `(switch, entry)` pairs ready to be sent as Flow-Mod adds.
+/// Returns `(switch, entry)` pairs ready to be sent as Flow-Mod adds. Every
+/// output port is the one [`next_hop_port`] gives, but the shortest paths
+/// come from one BFS per source switch rather than one per
+/// (switch, host) pair.
 #[must_use]
 pub fn benign_rules(topology: &Topology) -> Vec<(SwitchId, FlowEntry)> {
+    let next_hops = NextHops::new(topology);
+    compile(topology, |from, host| next_hops.port(from, host))
+}
+
+/// The policy's rule layers, with `out_port(switch, host)` giving the port
+/// `switch` forwards toward `host` on.
+fn compile(
+    topology: &Topology,
+    out_port: impl Fn(SwitchId, &Host) -> Option<PortId>,
+) -> Vec<(SwitchId, FlowEntry)> {
     let mut rules = Vec::new();
     let hosts: Vec<_> = topology.hosts().cloned().collect();
 
@@ -51,7 +67,7 @@ pub fn benign_rules(topology: &Topology) -> Vec<(SwitchId, FlowEntry)> {
             if peer.id == host.id || peer.owner != host.owner {
                 continue;
             }
-            if let Some(out_port) = next_hop_port(topology, edge_switch, peer) {
+            if let Some(out_port) = out_port(edge_switch, peer) {
                 rules.push((
                     edge_switch,
                     FlowEntry::new(
@@ -80,7 +96,7 @@ pub fn benign_rules(topology: &Topology) -> Vec<(SwitchId, FlowEntry)> {
     // Transit rules: every switch forwards toward every host's attachment.
     for switch in topology.switches() {
         for host in &hosts {
-            if let Some(out_port) = next_hop_port(topology, switch.id, host) {
+            if let Some(out_port) = out_port(switch.id, host) {
                 rules.push((
                     switch.id,
                     FlowEntry::new(
@@ -100,17 +116,79 @@ pub fn benign_rules(topology: &Topology) -> Vec<(SwitchId, FlowEntry)> {
 /// (the host's own port if the host attaches to `from`, otherwise the port
 /// toward the next switch on the shortest path).
 #[must_use]
-pub fn next_hop_port(
-    topology: &Topology,
-    from: SwitchId,
-    host: &rvaas_topology::Host,
-) -> Option<rvaas_types::PortId> {
+pub fn next_hop_port(topology: &Topology, from: SwitchId, host: &Host) -> Option<PortId> {
     if host.attachment.switch == from {
         return Some(host.attachment.port);
     }
     let path = topology.shortest_path(from, host.attachment.switch)?;
     let next = *path.get(1)?;
     topology.port_towards(from, next)
+}
+
+/// [`next_hop_port`] for every source switch at once: the adjacency is
+/// built once and each source gets one BFS, instead of a BFS (that rescans
+/// every link for each node's neighbours) per (source, host) pair.
+///
+/// Results are identical, tie-breaks included. Neighbours are visited in
+/// the same ascending order as [`Topology::shortest_path`], and a node's
+/// BFS parent is fixed when it is first discovered, so a BFS that runs to
+/// completion gives every destination the same first hop as one that stops
+/// at it. Each (switch, first hop) port is the first link in id order, as
+/// [`Topology::port_towards`] picks it.
+struct NextHops {
+    /// Source switch → destination switch → output port on the source.
+    ports: HashMap<SwitchId, HashMap<SwitchId, PortId>>,
+}
+
+impl NextHops {
+    fn new(topology: &Topology) -> Self {
+        let mut adjacency: BTreeMap<SwitchId, Vec<SwitchId>> = BTreeMap::new();
+        let mut link_ports: HashMap<(SwitchId, SwitchId), PortId> = HashMap::new();
+        for link in topology.links() {
+            let (a, b) = (link.a.switch, link.b.switch);
+            adjacency.entry(a).or_default().push(b);
+            adjacency.entry(b).or_default().push(a);
+            link_ports.entry((a, b)).or_insert(link.a.port);
+            link_ports.entry((b, a)).or_insert(link.b.port);
+        }
+        for neighbours in adjacency.values_mut() {
+            neighbours.sort();
+            neighbours.dedup();
+        }
+        let ports = adjacency
+            .keys()
+            .map(|&from| {
+                // Destination → first hop out of `from`; `from` maps to
+                // itself and doubles as the BFS's seen set.
+                let mut first_hop = HashMap::from([(from, from)]);
+                let mut queue = VecDeque::from([from]);
+                while let Some(s) = queue.pop_front() {
+                    let hop = first_hop[&s];
+                    for &n in &adjacency[&s] {
+                        if let Entry::Vacant(slot) = first_hop.entry(n) {
+                            slot.insert(if s == from { n } else { hop });
+                            queue.push_back(n);
+                        }
+                    }
+                }
+                first_hop.remove(&from);
+                let towards = first_hop
+                    .into_iter()
+                    .filter_map(|(to, hop)| Some((to, *link_ports.get(&(from, hop))?)))
+                    .collect();
+                (from, towards)
+            })
+            .collect();
+        NextHops { ports }
+    }
+
+    /// Same as [`next_hop_port`]`(topology, from, host)`.
+    fn port(&self, from: SwitchId, host: &Host) -> Option<PortId> {
+        if host.attachment.switch == from {
+            return Some(host.attachment.port);
+        }
+        self.ports.get(&from)?.get(&host.attachment.switch).copied()
+    }
 }
 
 #[cfg(test)]
@@ -234,6 +312,38 @@ mod tests {
             next_hop_port(&topo, SwitchId(1), h3),
             topo.port_towards(SwitchId(1), SwitchId(2))
         );
+    }
+
+    #[test]
+    fn one_bfs_per_switch_matches_per_pair_shortest_paths() {
+        // A second 1–2 link: the lower link id must keep winning the port.
+        let mut parallel = generators::line(3, 1);
+        parallel
+            .add_link(
+                rvaas_types::SwitchPort::new(SwitchId(1), PortId(4)),
+                rvaas_types::SwitchPort::new(SwitchId(2), PortId(4)),
+                rvaas_types::SimTime::from_micros(1),
+            )
+            .unwrap();
+        for (name, topo) in [
+            ("line(3,1) + parallel link", parallel),
+            ("line(4,2)", generators::line(4, 2)),
+            ("line(3,1)", generators::line(3, 1)),
+            ("leaf_spine(2,3,2,1)", generators::leaf_spine(2, 3, 2, 1)),
+            (
+                "leaf_spine(8,32,32,7)",
+                generators::leaf_spine(8, 32, 32, 7),
+            ),
+            ("fat_tree(4,2)", generators::fat_tree(4, 2)),
+            ("fat_tree(8,32)", generators::fat_tree(8, 32)),
+        ] {
+            // The per-pair reference: one `shortest_path` BFS per
+            // (switch, host) pair, as `benign_rules` used to resolve ports.
+            let per_pair = compile(&topo, |from, host| next_hop_port(&topo, from, host));
+            let rules = benign_rules(&topo);
+            assert!(!rules.is_empty(), "{name}");
+            assert!(rules == per_pair, "{name}: rule lists differ");
+        }
     }
 
     #[test]

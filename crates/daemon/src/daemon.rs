@@ -13,14 +13,21 @@
 //!
 //! Each listener hands accepted sockets to a **bounded pool** of
 //! connection workers over a channel — a misbehaving client burns at most
-//! one worker, never an unbounded pile of threads. Shutdown is
-//! cooperative: a shared flag flips, the nonblocking accept loops notice
-//! within one poll interval and exit (dropping the channel sender), the
-//! workers drain and exit on the closed channel, and [`Daemon::shutdown`]
-//! joins everything before returning.
+//! one worker, never an unbounded pile of threads. The accept loops block
+//! in `accept`, so a new connection is handed over at once. Every accepted
+//! socket sets `TCP_NODELAY`, and every response or frame leaves in one
+//! write: a message split over two writes, or one larger than a segment,
+//! never waits on Nagle's algorithm for the client's (possibly delayed) ACK.
+//!
+//! Shutdown is cooperative: a shared flag flips, [`Daemon::shutdown`]
+//! connects to each listener to wake its blocked `accept` (again until the
+//! loop has exited, should a wake fail), the accept loops see the flag and
+//! exit (dropping the channel sender), the workers
+//! drain and exit on the closed channel, and [`Daemon::shutdown`] joins
+//! everything before returning.
 
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
@@ -36,8 +43,13 @@ use rvaas_types::SimTime;
 use crate::config::DaemonConfig;
 use crate::http;
 
-/// How often the accept loops poll the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// Pause after a failed `accept`, so a persistent failure (say, the
+/// process is out of file descriptors) does not spin the accept loop.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+/// Bound on the connection [`Daemon::shutdown`] makes to wake an accept.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+/// Pause between wakes while an accept loop has not yet exited.
+const WAKE_RETRY: Duration = Duration::from_millis(1);
 /// Read timeout on sync connections: bounds both a stuck peer and the
 /// drain latency at shutdown.
 const SYNC_READ_TIMEOUT: Duration = Duration::from_millis(100);
@@ -56,7 +68,7 @@ pub struct Daemon {
     shutdown: Arc<AtomicBool>,
     http_addr: Option<SocketAddr>,
     sync_addr: Option<SocketAddr>,
-    listeners: Vec<JoinHandle<()>>,
+    listeners: Vec<(SocketAddr, JoinHandle<()>)>,
     workers: Vec<JoinHandle<()>>,
     started: Instant,
 }
@@ -122,9 +134,11 @@ impl Daemon {
         };
         if let Some(addr) = &config.service.sync_listen {
             let listener = bind(addr)?;
-            daemon.sync_addr = Some(local_addr(&listener)?);
+            let addr = local_addr(&listener)?;
+            daemon.sync_addr = Some(addr);
             daemon.spawn_listener(
                 listener,
+                addr,
                 "rvaas_sync_sessions_total",
                 "Sync TCP sessions accepted.",
                 serve_sync_connection,
@@ -132,9 +146,11 @@ impl Daemon {
         }
         if let Some(addr) = &config.service.http_listen {
             let listener = bind(addr)?;
-            daemon.http_addr = Some(local_addr(&listener)?);
+            let addr = local_addr(&listener)?;
+            daemon.http_addr = Some(addr);
             daemon.spawn_listener(
                 listener,
+                addr,
                 "rvaas_http_connections_total",
                 "HTTP connections accepted.",
                 serve_http_connection,
@@ -172,9 +188,14 @@ impl Daemon {
     pub fn shutdown(mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         // Listeners first: each exit drops a channel sender, which releases
-        // that listener's workers once the queue drains.
-        for handle in self.listeners.drain(..) {
-            let _ = handle.join();
+        // that listener's workers once the queue drains. Each accept loop
+        // is blocked in `accept`: a local connection wakes it to see the
+        // flag. A wildcard bind is reached over loopback.
+        for (addr, handle) in self.listeners.drain(..) {
+            let wake = wake_addr(addr);
+            join_waking(handle, || {
+                let _ = TcpStream::connect_timeout(&wake, WAKE_TIMEOUT);
+            });
         }
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -185,6 +206,7 @@ impl Daemon {
     fn spawn_listener(
         &mut self,
         listener: TcpListener,
+        addr: SocketAddr,
         counter_name: &'static str,
         counter_help: &'static str,
         serve: fn(&ConnectionContext, TcpStream),
@@ -227,23 +249,36 @@ impl Daemon {
                 }
             }));
         }
-        self.listeners.push(thread::spawn(move || {
-            while !context.shutdown.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        context.accepted.inc();
-                        if sender.send(stream).is_err() {
-                            return; // no workers left
-                        }
-                    }
-                    // WouldBlock is the idle case; other accept errors
-                    // (e.g. a reset mid-handshake) are transient and must
-                    // not kill the listener either.
-                    Err(_) => thread::sleep(ACCEPT_POLL),
-                }
+        let accept_loop = thread::spawn(move || loop {
+            let accepted = listener.accept();
+            if context.shutdown.load(Ordering::SeqCst) {
+                return; // the connection that woke us is dropped unserved
             }
-        }));
+            match accepted {
+                Ok((stream, _peer)) => {
+                    context.accepted.inc();
+                    if sender.send(stream).is_err() {
+                        return; // no workers left
+                    }
+                }
+                // Accept errors (e.g. a reset mid-handshake) are transient
+                // and must not kill the listener.
+                Err(_) => thread::sleep(ACCEPT_ERROR_BACKOFF),
+            }
+        });
+        self.listeners.push((addr, accept_loop));
     }
+}
+
+/// Calls `wake` until the thread behind `handle` has exited, then joins it:
+/// a wake that fails (say, the process is out of file descriptors) is
+/// simply tried again.
+fn join_waking(handle: JoinHandle<()>, mut wake: impl FnMut()) {
+    while !handle.is_finished() {
+        wake();
+        thread::sleep(WAKE_RETRY);
+    }
+    let _ = handle.join();
 }
 
 /// Everything a connection worker needs, cloned per worker.
@@ -260,12 +295,18 @@ struct ConnectionContext {
 }
 
 fn bind(addr: &str) -> Result<TcpListener, ServiceError> {
-    let listener = TcpListener::bind(addr)
-        .map_err(|e| ServiceError::Config(format!("cannot bind {addr}: {e}")))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| ServiceError::Config(format!("cannot configure listener {addr}: {e}")))?;
-    Ok(listener)
+    TcpListener::bind(addr).map_err(|e| ServiceError::Config(format!("cannot bind {addr}: {e}")))
+}
+
+/// The address a local connection reaches a listener bound to `addr` on:
+/// the address itself, or loopback of the same family for a wildcard bind.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
 }
 
 fn local_addr(listener: &TcpListener) -> Result<SocketAddr, ServiceError> {
@@ -277,7 +318,7 @@ fn local_addr(listener: &TcpListener) -> Result<SocketAddr, ServiceError> {
 /// One sync session: frames in, frames out, until EOF, error or shutdown.
 fn serve_sync_connection(context: &ConnectionContext, stream: TcpStream) {
     let mut stream = stream;
-    if stream.set_nonblocking(false).is_err()
+    if stream.set_nodelay(true).is_err()
         || stream.set_read_timeout(Some(SYNC_READ_TIMEOUT)).is_err()
     {
         return;
@@ -313,14 +354,14 @@ fn serve_sync_connection(context: &ConnectionContext, stream: TcpStream) {
 /// One HTTP connection: requests served in a keep-alive loop until the
 /// client asks to close, goes idle, sends garbage or the daemon shuts down.
 fn serve_http_connection(context: &ConnectionContext, stream: TcpStream) {
-    if stream.set_nonblocking(false).is_err()
+    if stream.set_nodelay(true).is_err()
         || stream.set_read_timeout(Some(HTTP_READ_TIMEOUT)).is_err()
     {
         return;
     }
     // One reader for the connection's life: bytes of a pipelined request
-    // that arrived with the previous one stay buffered here. Responses go
-    // straight to the socket.
+    // that arrived with the previous one stay buffered here. Each response
+    // leaves in a single write.
     let mut reader = BufReader::new(&stream);
     let mut writer = &stream;
     context.active.inc();
@@ -343,10 +384,34 @@ fn serve_http_connection(context: &ConnectionContext, stream: TcpStream) {
                 }
             }
             Err(why) => {
-                let _ = http::HttpResponse::error(400, &why).write_to(&mut writer, false);
+                let _ = http::HttpResponse::error(why.status, &why.message)
+                    .write_to(&mut writer, false);
                 break;
             }
         }
     }
     context.active.dec();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn failed_wakes_are_retried_until_the_thread_exits() {
+        // The thread stands in for an accept loop; the first three wakes
+        // fail to reach it, as a connect does when descriptors run out.
+        let (wake_tx, wake_rx) = mpsc::channel::<()>();
+        let handle = thread::spawn(move || {
+            let _ = wake_rx.recv();
+        });
+        let mut wakes = 0;
+        join_waking(handle, || {
+            wakes += 1;
+            if wakes == 4 {
+                let _ = wake_tx.send(());
+            }
+        });
+        assert!(wakes >= 4, "joined after {wakes} wakes");
+    }
 }

@@ -4,7 +4,11 @@
 //! just enough of RFC 9112 to serve the daemon's API: request-line +
 //! headers + `Content-Length` body, persistent (and pipelined) connections
 //! with HTTP/1.0-vs-1.1 `Connection` header semantics, and a segment router.
-//! No chunked encoding, no TLS. Routes:
+//! No TLS and no transfer codings: a request carrying `Transfer-Encoding`
+//! is answered `501` and conflicting `Content-Length` values `400`, both
+//! followed by a close (RFC 9112 §6.3), so a body the parser cannot frame is
+//! never read as the next pipelined request. Each response leaves in one
+//! write. Routes:
 //!
 //! * `POST /v1/query` — run one verification query (trace minted at
 //!   ingress, echoed in the verdict JSON).
@@ -38,6 +42,26 @@ pub struct HttpRequest {
     /// Whether the client asked for the connection to close after this
     /// exchange (`Connection: close`, or HTTP/1.0 without `keep-alive`).
     pub close: bool,
+}
+
+/// Why a request could not be read: the status to answer with before the
+/// connection closes, and a human-readable reason for the error body.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RequestError {
+    /// `400` for malformed, oversized or truncated requests; `501` for a
+    /// transfer coding this server does not implement.
+    pub status: u16,
+    /// What was wrong with the request.
+    pub message: String,
+}
+
+impl RequestError {
+    fn bad(message: impl Into<String>) -> Self {
+        RequestError {
+            status: 400,
+            message: message.into(),
+        }
+    }
 }
 
 /// A response ready for serialisation.
@@ -85,21 +109,28 @@ impl HttpResponse {
             404 => "Not Found",
             405 => "Method Not Allowed",
             500 => "Internal Server Error",
+            501 => "Not Implemented",
             503 => "Service Unavailable",
             _ => "Response",
         }
     }
 
-    /// Serialises status line, headers and body onto `w`. `keep_alive`
-    /// selects the `Connection` header; the caller decides based on the
-    /// request's wishes and its own shutdown state.
+    /// Serialises status line, headers and body into one buffer and sends
+    /// it to `w` in a single `write_all`, then flushes. `keep_alive` selects
+    /// the `Connection` header; the caller decides based on the request's
+    /// wishes and its own shutdown state.
+    ///
+    /// A head and body written separately would put the body in a second
+    /// small segment, which Nagle's algorithm holds back until the client
+    /// ACKs the first one — about 40 ms when the client delays its ACK.
     ///
     /// # Errors
     ///
     /// Propagates writer failures.
     pub fn write_to<W: Write>(&self, w: &mut W, keep_alive: bool) -> io::Result<()> {
+        let mut out = Vec::with_capacity(128 + self.body.len());
         write!(
-            w,
+            out,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
             self.status,
             self.reason(),
@@ -107,7 +138,8 @@ impl HttpResponse {
             self.body.len(),
             if keep_alive { "keep-alive" } else { "close" }
         )?;
-        w.write_all(self.body.as_bytes())?;
+        out.extend_from_slice(self.body.as_bytes());
+        w.write_all(&out)?;
         w.flush()
     }
 }
@@ -123,47 +155,62 @@ impl HttpResponse {
 ///
 /// # Errors
 ///
-/// Returns a human-readable message for malformed, oversized or truncated
-/// requests (the caller answers 400 and closes).
-pub fn read_request<R: BufRead>(r: &mut R) -> Result<Option<HttpRequest>, String> {
+/// Returns a [`RequestError`] carrying `400` for malformed, oversized or
+/// truncated requests and for conflicting `Content-Length` values, and
+/// `501` for any `Transfer-Encoding`. The caller answers with that status
+/// and closes: the request's body cannot be framed, so nothing after it on
+/// the connection can be trusted to start a request.
+pub fn read_request<R: BufRead>(r: &mut R) -> Result<Option<HttpRequest>, RequestError> {
     // Read line by line up to the blank line terminating the header block;
     // the `take` bound caps a head that never ends.
     let mut buf: Vec<u8> = Vec::with_capacity(256);
     while !buf.ends_with(b"\r\n\r\n") {
         if buf.len() > MAX_REQUEST_LEN {
-            return Err("request head too large".to_string());
+            return Err(RequestError::bad("request head too large"));
         }
         let budget = (MAX_REQUEST_LEN + 1 - buf.len()) as u64;
         match r.by_ref().take(budget).read_until(b'\n', &mut buf) {
             Ok(0) if buf.is_empty() => return Ok(None),
-            Ok(0) => return Err("connection closed mid-request".to_string()),
+            Ok(0) => return Err(RequestError::bad("connection closed mid-request")),
             Ok(_) => {}
             Err(e) if idle_timeout(&e) && buf.is_empty() => return Ok(None),
-            Err(e) => return Err(format!("read failed: {e}")),
+            Err(e) => return Err(RequestError::bad(format!("read failed: {e}"))),
         }
     }
     let head_end = buf.len() - 4;
-    let head = std::str::from_utf8(&buf[..head_end]).map_err(|_| "non-UTF-8 head".to_string())?;
+    let head =
+        std::str::from_utf8(&buf[..head_end]).map_err(|_| RequestError::bad("non-UTF-8 head"))?;
     let mut lines = head.split("\r\n");
     let request_line = lines.next().unwrap_or("");
     let mut parts = request_line.split(' ');
     let (Some(method), Some(target), Some(version)) = (parts.next(), parts.next(), parts.next())
     else {
-        return Err(format!("malformed request line {request_line:?}"));
+        return Err(RequestError::bad(format!(
+            "malformed request line {request_line:?}"
+        )));
     };
     if !version.starts_with("HTTP/1.") {
-        return Err(format!("unsupported protocol {version:?}"));
+        return Err(RequestError::bad(format!(
+            "unsupported protocol {version:?}"
+        )));
     }
     // HTTP/1.0 closes by default; HTTP/1.1 keeps alive by default.
     let mut close = version == "HTTP/1.0";
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
+    let mut transfer_encoding = false;
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
+                let length = value
                     .trim()
                     .parse()
-                    .map_err(|_| format!("bad Content-Length {value:?}"))?;
+                    .map_err(|_| RequestError::bad(format!("bad Content-Length {value:?}")))?;
+                if content_length.is_some_and(|seen| seen != length) {
+                    return Err(RequestError::bad("conflicting Content-Length headers"));
+                }
+                content_length = Some(length);
+            } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                transfer_encoding = true;
             } else if name.eq_ignore_ascii_case("connection") {
                 let value = value.trim();
                 if value.eq_ignore_ascii_case("close") {
@@ -174,18 +221,25 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Option<HttpRequest>, String
             }
         }
     }
+    if transfer_encoding {
+        return Err(RequestError {
+            status: 501,
+            message: "Transfer-Encoding is not supported".to_string(),
+        });
+    }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_REQUEST_LEN {
-        return Err("request body too large".to_string());
+        return Err(RequestError::bad("request body too large"));
     }
     let mut body = vec![0; content_length];
     r.read_exact(&mut body).map_err(|e| match e.kind() {
-        ErrorKind::UnexpectedEof => "connection closed mid-body".to_string(),
-        _ => format!("read failed: {e}"),
+        ErrorKind::UnexpectedEof => RequestError::bad("connection closed mid-body"),
+        _ => RequestError::bad(format!("read failed: {e}")),
     })?;
     Ok(Some(HttpRequest {
         method: method.to_string(),
         target: target.to_string(),
-        body: String::from_utf8(body).map_err(|_| "non-UTF-8 body".to_string())?,
+        body: String::from_utf8(body).map_err(|_| RequestError::bad("non-UTF-8 body"))?,
         close,
     }))
 }
@@ -403,8 +457,43 @@ mod tests {
         let endless = [&b"GET /x HTTP/1.1\r\nX: "[..], &[b'a'; 2 * MAX_REQUEST_LEN]].concat();
         assert_eq!(
             read_request(&mut Cursor::new(endless)),
-            Err("request head too large".to_string())
+            Err(RequestError::bad("request head too large"))
         );
+    }
+
+    #[test]
+    fn transfer_codings_are_not_implemented() {
+        // A chunked body must not be taken as length 0 with its chunks left
+        // behind to parse as the next pipelined request.
+        for raw in [
+            &b"POST /v1/query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nbody\r\n0\r\n\r\n"
+                [..],
+            &b"POST /x HTTP/1.1\r\ntransfer-encoding: identity\r\nContent-Length: 4\r\n\r\nbody"[..],
+            &b"GET /x HTTP/1.1\r\nContent-Length: 0\r\nTRANSFER-ENCODING: gzip, chunked\r\n\r\n"[..],
+        ] {
+            let err = read_request(&mut Cursor::new(raw.to_vec())).unwrap_err();
+            assert_eq!(err.status, 501, "{raw:?}");
+        }
+        let mut out = Vec::new();
+        HttpResponse::error(501, "x")
+            .write_to(&mut out, false)
+            .unwrap();
+        assert!(out.starts_with(b"HTTP/1.1 501 Not Implemented\r\n"));
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_rejected() {
+        let raw = b"POST /x HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 2\r\n\r\nbody";
+        assert_eq!(
+            read_request(&mut Cursor::new(raw.to_vec())),
+            Err(RequestError::bad("conflicting Content-Length headers"))
+        );
+        // Repeating the same value frames the body unambiguously.
+        let raw = b"POST /x HTTP/1.1\r\nContent-Length: 4\r\ncontent-length: 4\r\n\r\nbody";
+        let req = read_request(&mut Cursor::new(raw.to_vec()))
+            .unwrap()
+            .unwrap();
+        assert_eq!(req.body, "body");
     }
 
     #[test]
@@ -437,6 +526,38 @@ mod tests {
             .unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("Connection: keep-alive\r\n"));
+    }
+
+    /// Counts `write` calls: each one is a separate segment on a
+    /// `TCP_NODELAY` socket.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write() {
+        for body in [String::new(), "{}".to_string(), "x".repeat(64 * 1024)] {
+            let response = HttpResponse::json(200, body);
+            let mut w = CountingWriter::default();
+            response.write_to(&mut w, true).unwrap();
+            assert_eq!(w.writes, 1, "{}-byte body", response.body.len());
+            assert!(w.bytes.starts_with(b"HTTP/1.1 200 OK\r\n"));
+            assert!(w.bytes.ends_with(response.body.as_bytes()));
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rvaas_client::{
     decode_inband, read_frame, write_frame, InbandMessage, SyncPayload, SyncSession,
@@ -372,6 +372,101 @@ fn http_connections_persist_across_requests() {
     let mut rest = Vec::new();
     stream.read_to_end(&mut rest).unwrap();
     assert!(rest.is_empty(), "server must close after Connection: close");
+    daemon.shutdown();
+}
+
+/// Median of 30 timed round trips of `round_trip`.
+fn median_round_trip(mut round_trip: impl FnMut()) -> Duration {
+    let mut times: Vec<Duration> = (0..30)
+        .map(|_| {
+            let start = Instant::now();
+            round_trip();
+            start.elapsed()
+        })
+        .collect();
+    times.sort();
+    times[times.len() / 2]
+}
+
+/// A message split over two writes, on a socket without `TCP_NODELAY`,
+/// waits for the client's delayed ACK (about 40 ms) on every round trip.
+/// The bound sits far from both that stall and the ~0.1 ms of a served
+/// round trip over loopback.
+const ROUND_TRIP_BOUND: Duration = Duration::from_millis(10);
+
+#[test]
+fn keep_alive_round_trips_do_not_wait_for_delayed_acks() {
+    let daemon = started_daemon();
+
+    // Like any latency-sensitive client: small requests, one write each.
+    let mut stream = TcpStream::connect(daemon.http_addr().unwrap()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let body = r#"{"client": 1, "query": "isolation"}"#;
+    let request = format!(
+        "POST /v1/query HTTP/1.1\r\nHost: rvaas\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let http_median = median_round_trip(|| {
+        stream.write_all(request.as_bytes()).unwrap();
+        let (status, body) = read_response(&mut stream);
+        assert_eq!(status, 200, "{body}");
+    });
+    assert!(
+        http_median < ROUND_TRIP_BOUND,
+        "median keep-alive query round trip {http_median:?}"
+    );
+
+    let mut conn = TcpStream::connect(daemon.sync_addr().unwrap()).unwrap();
+    conn.set_nodelay(true).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut session = SyncSession::new();
+    let sync_median = median_round_trip(|| sync_roundtrip(&mut conn, &mut session, ClientId(1)));
+    assert_eq!(session.serial(), 1);
+    assert!(
+        sync_median < ROUND_TRIP_BOUND,
+        "median sync round trip {sync_median:?}"
+    );
+
+    drop(stream);
+    drop(conn);
+    daemon.shutdown();
+}
+
+#[test]
+fn unframeable_request_bodies_are_refused_and_the_connection_closed() {
+    let daemon = started_daemon();
+    let addr = daemon.http_addr().unwrap();
+    // A chunked body must not be read as a zero-length body followed by a
+    // pipelined request made of its chunks.
+    let chunk = "GET /v1/epoch HTTP/1.1\r\nHost: rvaas\r\n\r\n";
+    for (request, status) in [
+        (
+            format!(
+                "POST /v1/query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n{:x}\r\n{chunk}\r\n0\r\n\r\n",
+                chunk.len()
+            ),
+            501,
+        ),
+        (
+            format!("POST /v1/query HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: {}\r\n\r\n{chunk}", chunk.len()),
+            400,
+        ),
+    ] {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        stream.write_all(request.as_bytes()).unwrap();
+        let (got, _) = read_response(&mut stream);
+        assert_eq!(got, status, "{request:?}");
+        let mut rest = Vec::new();
+        // The close may surface as a reset: the refused body is unread.
+        let _ = stream.read_to_end(&mut rest);
+        assert!(rest.is_empty(), "nothing may be served after the refusal");
+    }
     daemon.shutdown();
 }
 
